@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test race race-solver ci bench bench-baseline bench-compare fuzz-smoke serve-smoke fabric-smoke store-smoke clean
+.PHONY: all build vet test race race-solver race-inject ci bench bench-baseline bench-compare fuzz-smoke serve-smoke fabric-smoke store-smoke clean
 
 all: vet build test
 
@@ -28,6 +28,13 @@ race:
 race-solver:
 	$(GO) test -race -count=1 ./internal/core ./internal/lifetime ./internal/interleave
 
+# Focused race pass over fault injection and the simulator it drives:
+# run full, not -short, so the shot-equivalence suite (shortcut path vs
+# full simulation, concurrent workers sharing a campaign's register set)
+# executes under the detector.
+race-inject:
+	$(GO) test -race -count=1 ./internal/inject ./internal/gpu ./internal/mem ./internal/sim
+
 # End-to-end smoke of the analysis service: boot it, hit the health,
 # query, and metrics endpoints, then drain it with SIGTERM. CI runs the
 # same sequence inline.
@@ -50,7 +57,7 @@ fabric-smoke:
 store-smoke:
 	./scripts/store-smoke.sh
 
-ci: vet build race race-solver fabric-smoke store-smoke
+ci: vet build race race-solver race-inject fabric-smoke store-smoke
 
 bench:
 	$(GO) test -bench=. -benchtime=1x -run=^$$ .

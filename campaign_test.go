@@ -1,7 +1,10 @@
 package mbavf
 
 import (
+	"bytes"
 	"context"
+	"errors"
+	"os"
 	"path/filepath"
 	"reflect"
 	"testing"
@@ -75,5 +78,52 @@ func TestRunCampaignResumeRejectsMismatch(t *testing.T) {
 		Injections: 4, Seed: 2, CheckpointPath: path, Resume: true,
 	}); err == nil {
 		t.Fatal("resume accepted a checkpoint from a different campaign")
+	}
+}
+
+// TestRunCampaignResumeRejectsTamperedShot: a checkpoint whose identity
+// matches but one of whose shots targets something other than what its
+// (seed, index) samples is refused with inject.ErrForeignShot before any
+// shot runs, locally and on the fabric, and is left on disk untouched.
+func TestRunCampaignResumeRejectsTamperedShot(t *testing.T) {
+	c, err := NewInjectionCampaign("vecadd")
+	if err != nil {
+		t.Fatal(err)
+	}
+	const n, seed = 8, 3
+	path := filepath.Join(t.TempDir(), "vecadd.ckpt.json")
+	if _, _, err := c.RunCampaign(context.Background(), CampaignRunConfig{
+		Injections: n, Seed: seed, CheckpointPath: path,
+	}); err != nil {
+		t.Fatal(err)
+	}
+	ck, err := inject.LoadCheckpoint(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ck.Shots = ck.Shots[:4]
+	ck.Shots[2].Target.Bit ^= 1
+	if err := ck.Save(path); err != nil {
+		t.Fatal(err)
+	}
+	tampered, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, fab := range []*FabricOptions{nil, {Workers: []string{startFabricWorker(t)}}} {
+		ran := 0
+		results, _, err := c.RunCampaign(context.Background(), CampaignRunConfig{
+			Injections: n, Seed: seed, CheckpointPath: path, Resume: true, Fabric: fab,
+			Progress: func(int, int) { ran++ },
+		})
+		if !errors.Is(err, inject.ErrForeignShot) {
+			t.Errorf("fabric=%v: err = %v, want ErrForeignShot", fab != nil, err)
+		}
+		if ran != 0 || results != nil {
+			t.Errorf("fabric=%v: %d shots ran, %d results returned after the rejection", fab != nil, ran, len(results))
+		}
+		if now, err := os.ReadFile(path); err != nil || !bytes.Equal(now, tampered) {
+			t.Errorf("fabric=%v: rejected checkpoint was rewritten (%v)", fab != nil, err)
+		}
 	}
 }

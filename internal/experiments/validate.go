@@ -31,44 +31,56 @@ func validate(o Options) ([]*report.Table, error) {
 		names = table2Workloads()
 	}
 	for _, name := range names {
-		s, err := run(o, name)
+		v, err := validateWorkload(o, name)
 		if err != nil {
 			return nil, err
 		}
-		lay, err := vgprLayout(s, false, 1)
-		if err != nil {
-			return nil, err
-		}
-		res, err := vgprAnalyzer(s, lay, false).Analyze(ecc.None{}, bitgeom.Mx1(1))
-		if err != nil {
-			return nil, err
-		}
-		analysis := res.SDCMBAVF()
-
-		w, err := workloads.ByName(name)
-		if err != nil {
-			return nil, err
-		}
-		c, err := inject.NewCampaignContext(o.ctx(), w, sim.InjectionConfig())
-		if err != nil {
-			return nil, err
-		}
-		rep, err := runInjection(o.ctx(), o, c, inject.RunConfig{N: o.Injections, Seed: o.Seed, Workers: o.Workers})
-		if err != nil {
-			return nil, err
-		}
-		results := rep.Results()
-		counts := inject.Count(results)
-		n := float64(len(results))
-		sdcFrac := float64(counts.SDC) / n
-		dueFrac := float64(counts.DUE) / n
+		n := float64(v.counts.Total())
+		sdcFrac := float64(v.counts.SDC) / n
+		dueFrac := float64(v.counts.DUE) / n
 		conserv := 0.0
 		if sdcFrac+dueFrac > 0 {
-			conserv = analysis / (sdcFrac + dueFrac)
+			conserv = v.analysis / (sdcFrac + dueFrac)
 		}
-		t.AddRowf(name, analysis, sdcFrac, dueFrac, sdcFrac+dueFrac, conserv)
+		t.AddRowf(name, v.analysis, sdcFrac, dueFrac, sdcFrac+dueFrac, conserv)
 	}
 	return []*report.Table{t}, nil
+}
+
+// validation is one workload's side-by-side: the unprotected single-bit
+// VGPR SDC AVF from ACE analysis, and the classified outcomes of
+// o.Injections uniform single-bit flips.
+type validation struct {
+	analysis float64
+	counts   inject.Counts
+}
+
+func validateWorkload(o Options, name string) (validation, error) {
+	s, err := run(o, name)
+	if err != nil {
+		return validation{}, err
+	}
+	lay, err := vgprLayout(s, false, 1)
+	if err != nil {
+		return validation{}, err
+	}
+	res, err := vgprAnalyzer(s, lay, false).Analyze(ecc.None{}, bitgeom.Mx1(1))
+	if err != nil {
+		return validation{}, err
+	}
+	w, err := workloads.ByName(name)
+	if err != nil {
+		return validation{}, err
+	}
+	c, err := inject.NewCampaignContext(o.ctx(), w, sim.InjectionConfig())
+	if err != nil {
+		return validation{}, err
+	}
+	rep, err := runInjection(o.ctx(), o, c, inject.RunConfig{N: o.Injections, Seed: o.Seed, Workers: o.Workers})
+	if err != nil {
+		return validation{}, err
+	}
+	return validation{analysis: res.SDCMBAVF(), counts: rep.Counts()}, nil
 }
 
 func init() {

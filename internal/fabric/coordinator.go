@@ -241,6 +241,10 @@ func (co *Coordinator) Run(ctx context.Context, rc inject.RunConfig) (*inject.Ru
 	if rc.N < 0 {
 		return nil, fmt.Errorf("fabric: negative campaign size %d", rc.N)
 	}
+	resumed, done, err := co.local.Resumed(rc)
+	if err != nil {
+		return nil, err
+	}
 	if rc.Timeout > 0 {
 		var cancel context.CancelFunc
 		ctx, cancel = context.WithTimeout(ctx, rc.Timeout)
@@ -249,14 +253,7 @@ func (co *Coordinator) Run(ctx context.Context, rc inject.RunConfig) (*inject.Ru
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 
-	rep := &inject.RunReport{N: rc.N, Seed: rc.Seed}
-	done := make(map[int]bool, len(rc.Completed))
-	for _, s := range rc.Completed {
-		if s.Index >= 0 && s.Index < rc.N && !done[s.Index] {
-			done[s.Index] = true
-			rep.Shots = append(rep.Shots, s)
-		}
-	}
+	rep := &inject.RunReport{N: rc.N, Seed: rc.Seed, Shots: resumed}
 	// The campaign trace ID is deterministic in (workload, seed, N): a
 	// coordinator restart re-joins the same logical trace, and the ID
 	// doubles as the campaign key of every lifecycle event.

@@ -381,6 +381,91 @@ func TestInjectionIntoEmptySlotMasked(t *testing.T) {
 	}
 }
 
+// understatedProgram stores tid into out[tid] through v5 and v7 while
+// declaring a budget of one vector register: only its code says which
+// registers it names.
+func understatedProgram() *Program {
+	return &Program{Name: "understated", NumVRegs: 1, NumSRegs: 1, Code: []Instr{
+		{Op: OpVMov, Dst: V(5), Src: [3]Operand{Tid()}},
+		{Op: OpVShl, Dst: V(7), Src: [3]Operand{V(5), Imm(2)}},
+		{Op: OpVAdd, Dst: V(7), Src: [3]Operand{V(7), S(0)}},
+		{Op: OpVStore, Src: [3]Operand{V(7), Imm(0), V(5)}},
+		{Op: OpEndPgm},
+	}}
+}
+
+func TestNamesVRegReadsCode(t *testing.T) {
+	p := understatedProgram()
+	for reg, want := range map[int]bool{0: false, 1: false, 5: true, 6: false, 7: true} {
+		if got := p.NamesVReg(reg); got != want {
+			t.Errorf("NamesVReg(%d) = %v, want %v", reg, got, want)
+		}
+	}
+}
+
+func TestStopWhenInert(t *testing.T) {
+	vecadd := buildVecAdd(t) // names v0..v4
+	cases := []struct {
+		name  string
+		prog  *Program
+		inj   Injection
+		inert bool
+	}{
+		{"empty wave slot", vecadd, Injection{Cycle: 2, Thread: Lanes, Reg: 2, Mask: 1}, true},
+		{"outside the register file", vecadd, Injection{Cycle: 2, Thread: 255, Reg: 2, Mask: 1}, true},
+		{"register the program never names", vecadd, Injection{Cycle: 2, Thread: 3, Reg: 31, Mask: 1}, true},
+		{"register the program names", vecadd, Injection{Cycle: 2, Thread: 3, Reg: 2, Mask: 1}, false},
+		{"register beyond the declared budget", understatedProgram(), Injection{Cycle: 2, Thread: 3, Reg: 5, Mask: 1}, false},
+	}
+	for _, tc := range cases {
+		m, memory, _ := testRig(t, false)
+		for _, addr := range []uint32{0x1000, 0x2000} {
+			if err := memory.SetInputWords(nil, addr, make([]uint32, Lanes)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		m.AddInjection(tc.inj)
+		m.StopWhenInert()
+		d := Dispatch{Prog: tc.prog, Waves: 1, Args: []uint32{0x1000, 0x2000, 0x3000}}
+		if tc.prog != vecadd {
+			d.Args = []uint32{0x3000}
+		}
+		err := m.RunDispatch(d)
+		if m.Inert() != tc.inert {
+			t.Errorf("%s: Inert() = %v, want %v", tc.name, m.Inert(), tc.inert)
+		}
+		if !tc.inert {
+			if err != nil {
+				t.Errorf("%s: %v", tc.name, err)
+			}
+			continue
+		}
+		if !errors.Is(err, ErrInert) {
+			t.Errorf("%s: err = %v, want ErrInert", tc.name, err)
+		}
+		if m.Instructions() >= uint64(len(vecadd.Code)) {
+			t.Errorf("%s: ran %d instructions after the inert flip", tc.name, m.Instructions())
+		}
+		if err := m.RunDispatch(d); !errors.Is(err, ErrInert) {
+			t.Errorf("%s: dispatch after the stop: err = %v, want ErrInert", tc.name, err)
+		}
+	}
+}
+
+func TestProgramsListsDistinctDispatches(t *testing.T) {
+	m, _, _ := testRig(t, false)
+	vecadd, other := buildVecAdd(t), understatedProgram()
+	for _, p := range []*Program{vecadd, other, vecadd} {
+		args := []uint32{0x1000, 0x2000, 0x3000}
+		if err := m.RunDispatch(Dispatch{Prog: p, Waves: 1, Args: args}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := m.Programs(); len(got) != 2 || got[0] != vecadd || got[1] != other {
+		t.Errorf("Programs() = %v, want [vecadd understated]", got)
+	}
+}
+
 func TestTrapOnBadAddress(t *testing.T) {
 	m, _, _ := testRig(t, false)
 	b := NewBuilder("wild")

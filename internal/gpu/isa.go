@@ -176,3 +176,21 @@ type Program struct {
 	NumVRegs int
 	NumSRegs int
 }
+
+// NamesVReg reports whether any instruction of p names vector register
+// reg, as its destination or as a source. It reads the code, not
+// NumVRegs: a wave can only ever read or write the registers its code
+// names, whatever budget the program declares.
+func (p *Program) NamesVReg(reg int) bool {
+	for _, in := range p.Code {
+		if in.Dst.Kind == OpdVReg && int(in.Dst.Val) == reg {
+			return true
+		}
+		for _, o := range in.Src {
+			if o.Kind == OpdVReg && int(o.Val) == reg {
+				return true
+			}
+		}
+	}
+	return false
+}

@@ -1,7 +1,9 @@
 package gpu
 
 import (
+	"errors"
 	"fmt"
+	"slices"
 	"sort"
 
 	"mbavf/internal/cache"
@@ -54,7 +56,9 @@ type Dispatch struct {
 // Injection flips Mask bits of 32-bit register Reg of Thread (slot*16 +
 // lane) in the given CU's VGPR file at the first instruction issue at or
 // after Cycle. If the targeted wave slot is unoccupied at that time the
-// flip lands in unallocated state and is naturally masked.
+// flip lands in unallocated state and is naturally masked; so is a flip
+// of a register the resident wave's program never names, since a wave's
+// registers die with it.
 type Injection struct {
 	Cycle   uint64
 	CU      int
@@ -111,6 +115,17 @@ type Machine struct {
 	injections []Injection
 	nextInj    int
 
+	// programs lists every distinct program dispatched, in first-dispatch
+	// order.
+	programs []*Program
+
+	// stopInert makes a run stop with ErrInert once every injection has
+	// been applied and none could reach a register a program reads;
+	// liveInj records that one could, inert that the run stopped.
+	stopInert bool
+	liveInj   bool
+	inert     bool
+
 	// cancel, when non-nil, is polled between instructions (every
 	// cancelCheckMask+1 issues); a non-nil return aborts the dispatch
 	// with that error. It is how context cancellation reaches the
@@ -121,6 +136,10 @@ type Machine struct {
 // cancelCheckMask throttles cancellation polls to one per 4096
 // instructions, keeping the hook invisible on the issue path.
 const cancelCheckMask = 4096 - 1
+
+// ErrInert is returned by RunDispatch on a machine set to StopWhenInert
+// once every injection has been applied without effect.
+var ErrInert = errors.New("gpu: every injection is inert; run stopped")
 
 // New builds a machine over the given memory and cache hierarchy.
 func New(cfg Config, memory *mem.Memory, caches *cache.Hierarchy) (*Machine, error) {
@@ -169,6 +188,23 @@ func (m *Machine) AddInjection(inj Injection) {
 		return m.injections[i].Cycle < m.injections[j].Cycle
 	})
 }
+
+// StopWhenInert makes the machine stop the running dispatch with ErrInert
+// as soon as every scheduled injection has been applied and each one
+// landed in an empty wave slot, outside the register file, or in a
+// register the resident wave's program never names. Such a run can only
+// go on exactly as the fault-free run did, so fault-injection campaigns
+// need not simulate the rest of it. Every later dispatch fails the same
+// way, and Inert reports the stop.
+func (m *Machine) StopWhenInert() { m.stopInert = true }
+
+// Inert reports whether a StopWhenInert machine stopped its run because
+// every injection was inert.
+func (m *Machine) Inert() bool { return m.inert }
+
+// Programs returns every distinct program dispatched so far, in order of
+// first dispatch.
+func (m *Machine) Programs() []*Program { return m.programs }
 
 // Cycles returns the last cycle any instruction completed.
 func (m *Machine) Cycles() uint64 { return m.endCycle }
@@ -229,6 +265,12 @@ func (m *Machine) applyInjections(t uint64) {
 			continue // empty slot: fault in unallocated state, masked
 		}
 		w.vreg[inj.Reg*Lanes+lane] ^= inj.Mask
+		if inj.Mask != 0 && w.prog.NamesVReg(inj.Reg) {
+			m.liveInj = true
+		}
+	}
+	if m.stopInert && !m.liveInj && m.nextInj == len(m.injections) && m.nextInj > 0 {
+		m.inert = true
 	}
 }
 
@@ -239,6 +281,9 @@ func (m *Machine) applyInjections(t uint64) {
 func (m *Machine) RunDispatch(d Dispatch) error {
 	if d.Prog == nil || d.Waves < 1 {
 		return fmt.Errorf("gpu: dispatch needs a program and at least one wave")
+	}
+	if m.inert {
+		return ErrInert
 	}
 	if m.cancel != nil {
 		if err := m.cancel(); err != nil {
@@ -251,6 +296,9 @@ func (m *Machine) RunDispatch(d Dispatch) error {
 	}
 	if len(d.Args) > m.cfg.NumSRegs {
 		return fmt.Errorf("gpu: %d dispatch args exceed %d scalar registers", len(d.Args), m.cfg.NumSRegs)
+	}
+	if !slices.Contains(m.programs, d.Prog) {
+		m.programs = append(m.programs, d.Prog)
 	}
 	var queue []*wave
 	for i := 0; i < d.Waves; i++ {
@@ -283,6 +331,9 @@ func (m *Machine) RunDispatch(d Dispatch) error {
 		}
 		m.stalls += issue - m.cuFree[w.cu] // CU idle until the wave's operands arrive
 		m.applyInjections(issue)
+		if m.inert {
+			return ErrInert
+		}
 		lat, err := m.step(w, issue)
 		if err != nil {
 			m.endCycle = max(m.endCycle, issue+1)

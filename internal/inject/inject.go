@@ -18,6 +18,14 @@
 // All five are *classifications* of a successfully injected run;
 // failures of the campaign infrastructure itself are reported as errors
 // wrapping ErrInfra and never carry an outcome.
+//
+// A shot pays only for simulation that can change its outcome. A flip of
+// a register that no program of the golden run names is classified
+// masked without running anything, and a run whose flip lands in an
+// empty wave slot or in a register the resident program never names
+// stops there as masked. Both rest on sim.Workload.Run being
+// deterministic, the assumption golden-run comparison already makes, and
+// both give exactly the outcome full simulation would.
 package inject
 
 import (
@@ -134,6 +142,12 @@ type Campaign struct {
 	cfg      sim.Config
 	golden   []byte
 	cycles   uint64
+	// named[r] reports whether a program the golden run dispatched names
+	// vector register r.
+	named []bool
+	// fullSim turns off both masked-shot shortcuts; tests set it to get
+	// the full-simulation oracle.
+	fullSim bool
 }
 
 // NewCampaign performs the fault-free reference run.
@@ -157,7 +171,16 @@ func NewCampaignContext(ctx context.Context, w sim.Workload, cfg sim.Config) (*C
 	if len(golden) == 0 {
 		return nil, fmt.Errorf("inject: workload %s declares no output", w.Name)
 	}
-	return &Campaign{workload: w, cfg: cfg, golden: golden, cycles: s.Cycles()}, nil
+	named := make([]bool, cfg.GPU.NumVRegs)
+	for r := range named {
+		for _, p := range s.Machine.Programs() {
+			if p.NamesVReg(r) {
+				named[r] = true
+				break
+			}
+		}
+	}
+	return &Campaign{workload: w, cfg: cfg, golden: golden, cycles: s.Cycles(), named: named}, nil
 }
 
 // Cycles returns the golden run's duration, the sampling range for
@@ -176,13 +199,28 @@ func (c *Campaign) Workload() string { return c.workload.Name }
 // OutcomeDUE (bad address, misaligned) or OutcomeHang (instruction
 // budget). A non-nil error wraps ErrInfra and means the run could not be
 // classified at all — the returned Outcome is meaningless then.
+//
+// A flip that provably cannot reach a register any program reads is
+// classified OutcomeMasked without simulating the run (the register is
+// named by no program of the golden run) or the rest of it (the machine
+// applied the flip inertly and stopped).
 func (c *Campaign) RunMask(tgt Target, mask uint32) (outcome Outcome, err error) {
+	if !c.fullSim && (tgt.Reg < 0 || tgt.Reg >= len(c.named) || !c.named[tgt.Reg]) {
+		obsProvenStatic.Add(1)
+		return OutcomeMasked, nil
+	}
+	var s *sim.Session
 	defer func() {
 		if p := recover(); p != nil {
 			outcome, err = OutcomeCrash, nil
+			// A panic after the inert stop is the workload reacting to
+			// the stop; the fault itself was masked.
+			if s != nil && s.Machine.Inert() {
+				outcome = OutcomeMasked
+			}
 		}
 	}()
-	s, err := sim.NewSession(c.cfg)
+	s, err = sim.NewSession(c.cfg)
 	if err != nil {
 		return 0, infraErr("session", err)
 	}
@@ -193,7 +231,17 @@ func (c *Campaign) RunMask(tgt Target, mask uint32) (outcome Outcome, err error)
 		Reg:    tgt.Reg,
 		Mask:   mask,
 	})
-	if err := c.workload.Run(s); err != nil {
+	if !c.fullSim {
+		s.Machine.StopWhenInert()
+	}
+	err = c.workload.Run(s)
+	// Classify the inert stop from the machine, not from err: the
+	// workload may have wrapped or swallowed ErrInert.
+	if s.Machine.Inert() {
+		obsProvenInert.Add(1)
+		return OutcomeMasked, nil
+	}
+	if err != nil {
 		var trap *gpu.TrapError
 		if errors.As(err, &trap) {
 			if trap.Kind == gpu.TrapBudget {

@@ -15,6 +15,11 @@ import (
 // RunConfig.MaxErrors failed with infrastructure errors.
 var ErrBudget = errors.New("infrastructure error budget exceeded")
 
+// ErrForeignShot reports a resumed shot whose target is not the one the
+// campaign samples for its (seed, index): a hand-edited checkpoint, or
+// one written under a different VGPR shape.
+var ErrForeignShot = errors.New("resumed shot was not sampled by this campaign")
+
 // Observability tallies for campaign runs. Counter adds happen on the
 // collector goroutine, one per completed shot; the latency histograms are
 // recorded on the worker that ran the shot (Histogram.Record is
@@ -37,6 +42,14 @@ var (
 		}
 		return m
 	}()
+)
+
+// Injected runs RunMask classified masked without full simulation, by the
+// path that proved it: a register no program names (static), or a flip
+// the machine applied inertly (inert).
+var (
+	obsProvenStatic = obs.NewCounter("inject.shots_proven_masked|path=static")
+	obsProvenInert  = obs.NewCounter("inject.shots_proven_masked|path=inert")
 )
 
 // Shot is one indexed injected run within a campaign. Err is non-empty
@@ -70,7 +83,8 @@ type RunConfig struct {
 	MaxErrors int
 	// Completed seeds the run with shots finished by a previous
 	// (checkpointed) run; their indices are not re-executed. Shots whose
-	// index falls outside [0, N) are ignored.
+	// index falls outside [0, N) are ignored; a shot whose target is not
+	// the one (Seed, index) samples fails the run with ErrForeignShot.
 	Completed []Shot
 	// OnShot, when non-nil, observes every newly completed shot from the
 	// collector goroutine (never concurrently) — the checkpointing hook.
@@ -112,6 +126,29 @@ func (r *RunReport) Results() []Result {
 
 // Counts tallies the classified outcomes.
 func (r *RunReport) Counts() Counts { return Count(r.Results()) }
+
+// Resumed returns the shots of rc.Completed that seed a run of rc, one
+// per index in [0, rc.N) with the first copy winning, and the set of
+// their indices. It fails with ErrForeignShot, before any shot runs, if
+// one of them is not the shot this campaign samples for its index.
+func (c *Campaign) Resumed(rc RunConfig) ([]Shot, map[int]bool, error) {
+	var shots []Shot
+	done := make(map[int]bool, len(rc.Completed))
+	for _, s := range rc.Completed {
+		if s.Index < 0 || s.Index >= rc.N {
+			continue
+		}
+		if want := c.target(rc.Seed, s.Index); s.Target != want {
+			return nil, nil, fmt.Errorf("inject: %w: shot %d targets %+v, seed %d samples %+v",
+				ErrForeignShot, s.Index, s.Target, rc.Seed, want)
+		}
+		if !done[s.Index] {
+			done[s.Index] = true
+			shots = append(shots, s)
+		}
+	}
+	return shots, done, nil
+}
 
 // runShot executes one indexed injection. Panics are already absorbed by
 // RunMask, so a worker can never take the process down.
@@ -159,6 +196,10 @@ func (c *Campaign) Run(ctx context.Context, cfg RunConfig) (*RunReport, error) {
 	if cfg.N < 0 {
 		return nil, fmt.Errorf("inject: negative campaign size %d", cfg.N)
 	}
+	resumed, done, err := c.Resumed(cfg)
+	if err != nil {
+		return nil, err
+	}
 	if cfg.Timeout > 0 {
 		var cancel context.CancelFunc
 		ctx, cancel = context.WithTimeout(ctx, cfg.Timeout)
@@ -167,14 +208,7 @@ func (c *Campaign) Run(ctx context.Context, cfg RunConfig) (*RunReport, error) {
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 
-	rep := &RunReport{N: cfg.N, Seed: cfg.Seed}
-	done := make(map[int]bool, len(cfg.Completed))
-	for _, s := range cfg.Completed {
-		if s.Index >= 0 && s.Index < cfg.N && !done[s.Index] {
-			done[s.Index] = true
-			rep.Shots = append(rep.Shots, s)
-		}
-	}
+	rep := &RunReport{N: cfg.N, Seed: cfg.Seed, Shots: resumed}
 
 	sp := obs.StartSpan2("campaign:", c.workload.Name)
 	defer sp.End()

@@ -68,7 +68,9 @@ func wildProgram(t testing.TB) *gpu.Program {
 
 // faultyCampaign builds a campaign over a workload whose golden run (the
 // first call) is a tiny healthy kernel and whose injected runs are
-// replaced by the given misbehavior.
+// replaced by the given misbehavior. Such a workload breaks the
+// determinism the masked-shot shortcuts rest on, so its shots take the
+// full-simulation path.
 func faultyCampaign(t *testing.T, cfg sim.Config, name string, misbehave func(call int64, s *sim.Session) error) *Campaign {
 	t.Helper()
 	var calls atomic.Int64
@@ -86,6 +88,7 @@ func faultyCampaign(t *testing.T, cfg sim.Config, name string, misbehave func(ca
 	if err != nil {
 		t.Fatal(err)
 	}
+	c.fullSim = true
 	return c
 }
 

@@ -1,7 +1,9 @@
 // Package mem provides the flat, byte-addressable memory backing the APU
 // simulator. Memory holds the functional state (values) plus the dynamic
 // dataflow version of every byte, so caches and the AVF infrastructure can
-// associate the data resident in any SRAM slot with its liveness.
+// associate the data resident in any SRAM slot with its liveness. Runs
+// without a dataflow graph use an unversioned memory instead, in which
+// every byte is at the ground version.
 package mem
 
 import (
@@ -14,7 +16,7 @@ import (
 // Memory is the simulated physical memory.
 type Memory struct {
 	data    []byte
-	version []dataflow.VersionID
+	version []dataflow.VersionID // nil when unversioned
 }
 
 // New returns a zeroed memory of size bytes. All bytes start at the ground
@@ -24,6 +26,15 @@ func New(size int) *Memory {
 		data:    make([]byte, size),
 		version: make([]dataflow.VersionID, size),
 	}
+}
+
+// NewUnversioned returns a zeroed memory of size bytes that keeps no
+// per-byte versions: every byte reads as the ground version (0) and
+// stores drop the versions they carry. It backs runs without a dataflow
+// graph, where every version is ground anyway, at a fifth of New's
+// footprint.
+func NewUnversioned(size int) *Memory {
+	return &Memory{data: make([]byte, size)}
 }
 
 // Size returns the memory size in bytes.
@@ -41,7 +52,7 @@ func (m *Memory) LoadByte(addr uint32) (byte, dataflow.VersionID, error) {
 	if err := m.check(addr, 1); err != nil {
 		return 0, 0, err
 	}
-	return m.data[addr], m.version[addr], nil
+	return m.data[addr], m.VersionAt(addr), nil
 }
 
 // StoreByte stores value v with version ver at addr.
@@ -50,7 +61,9 @@ func (m *Memory) StoreByte(addr uint32, v byte, ver dataflow.VersionID) error {
 		return err
 	}
 	m.data[addr] = v
-	m.version[addr] = ver
+	if m.version != nil {
+		m.version[addr] = ver
+	}
 	return nil
 }
 
@@ -61,7 +74,9 @@ func (m *Memory) LoadWord(addr uint32) (uint32, [4]dataflow.VersionID, error) {
 	if err := m.check(addr, 4); err != nil {
 		return 0, vers, err
 	}
-	copy(vers[:], m.version[addr:addr+4])
+	if m.version != nil {
+		copy(vers[:], m.version[addr:addr+4])
+	}
 	return binary.LittleEndian.Uint32(m.data[addr : addr+4]), vers, nil
 }
 
@@ -72,13 +87,20 @@ func (m *Memory) StoreWord(addr uint32, v uint32, vers [4]dataflow.VersionID) er
 		return err
 	}
 	binary.LittleEndian.PutUint32(m.data[addr:addr+4], v)
-	copy(m.version[addr:addr+4], vers[:])
+	if m.version != nil {
+		copy(m.version[addr:addr+4], vers[:])
+	}
 	return nil
 }
 
 // VersionAt returns the version of the byte at addr without bounds checks
 // beyond the slice's own; it is used by caches when filling lines.
-func (m *Memory) VersionAt(addr uint32) dataflow.VersionID { return m.version[addr] }
+func (m *Memory) VersionAt(addr uint32) dataflow.VersionID {
+	if m.version == nil {
+		return 0
+	}
+	return m.version[addr]
+}
 
 // ByteAt returns the value of the byte at addr.
 func (m *Memory) ByteAt(addr uint32) byte { return m.data[addr] }
@@ -86,12 +108,18 @@ func (m *Memory) ByteAt(addr uint32) byte { return m.data[addr] }
 // SetInput writes host-provided input data starting at addr, creating one
 // fresh TransferNone version per byte in g so that input data flowing
 // through caches participates in liveness analysis. If g is nil the bytes
-// keep the ground version.
+// keep the ground version. An unversioned memory accepts only a nil g.
 func (m *Memory) SetInput(g *dataflow.Graph, addr uint32, data []byte) error {
 	if err := m.check(addr, len(data)); err != nil {
 		return err
 	}
+	if m.version == nil && g != nil {
+		return fmt.Errorf("mem: dataflow input into unversioned memory")
+	}
 	copy(m.data[addr:], data)
+	if m.version == nil {
+		return nil
+	}
 	for i := range data {
 		if g != nil {
 			m.version[addr+uint32(i)] = g.New(dataflow.TransferNone, 0)
@@ -142,7 +170,7 @@ func (m *Memory) MarkOutput(g *dataflow.Graph, addr uint32, n int, end uint64) e
 		return err
 	}
 	for i := 0; i < n; i++ {
-		v := m.version[addr+uint32(i)]
+		v := m.VersionAt(addr + uint32(i))
 		g.MarkRootLive(v, 0xFF)
 		g.NoteRead(v, end+1)
 	}

@@ -109,3 +109,38 @@ func TestMarkOutputMarksLiveAndConsumed(t *testing.T) {
 		t.Error("output version should count as consumed after end")
 	}
 }
+
+func TestUnversionedMemoryIsGround(t *testing.T) {
+	m := NewUnversioned(16)
+	if err := m.StoreWord(4, 0xDEADBEEF, [4]dataflow.VersionID{1, 2, 3, 4}); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.StoreByte(9, 0x7A, 5); err != nil {
+		t.Fatal(err)
+	}
+	v, vers, err := m.LoadWord(4)
+	if err != nil || v != 0xDEADBEEF || vers != [4]dataflow.VersionID{} {
+		t.Errorf("LoadWord = %#x, %v, %v; want the value at ground versions", v, vers, err)
+	}
+	b, ver, err := m.LoadByte(9)
+	if err != nil || b != 0x7A || ver != 0 {
+		t.Errorf("LoadByte = %#x, %d, %v; want the value at the ground version", b, ver, err)
+	}
+	if err := m.SetInput(nil, 12, []byte{1, 2}); err != nil {
+		t.Fatal(err)
+	}
+	for addr := uint32(0); addr < 16; addr++ {
+		if m.VersionAt(addr) != 0 {
+			t.Errorf("VersionAt(%d) = %d, want ground", addr, m.VersionAt(addr))
+		}
+	}
+	if m.ByteAt(13) != 2 {
+		t.Errorf("input byte = %d, want 2", m.ByteAt(13))
+	}
+	if _, _, err := m.LoadWord(14); err == nil {
+		t.Error("LoadWord straddling the end should fail")
+	}
+	if err := m.SetInput(dataflow.NewGraph(), 0, []byte{1}); err == nil {
+		t.Error("dataflow input into unversioned memory should fail")
+	}
+}

@@ -141,9 +141,12 @@ func NewSessionContext(ctx context.Context, cfg Config) (*Session, error) {
 		return nil, fmt.Errorf("sim: MemBytes must be positive")
 	}
 	s := &Session{Cfg: cfg, allocPtr: 64}
-	s.Mem = mem.New(cfg.MemBytes)
 	if cfg.EnableGraph {
+		s.Mem = mem.New(cfg.MemBytes)
 		s.Graph = dataflow.NewGraph()
+	} else {
+		// Without a graph every version is ground: keep none.
+		s.Mem = mem.NewUnversioned(cfg.MemBytes)
 	}
 	var err error
 	s.Hier, err = cache.NewHierarchy(cfg.Caches, s.Mem)
@@ -297,6 +300,14 @@ func (s *Session) OutputData() ([]byte, error) {
 
 // Workload is a complete benchmark recipe: it allocates inputs, dispatches
 // one or more kernel passes, and declares outputs.
+//
+// Run must be deterministic: on a fresh session of the same Config it
+// dispatches the same programs with the same inputs and, absent a fault,
+// produces the same output. Fault injection rests on this twice: an
+// injected run is classified by comparing its output with a fault-free
+// golden run, and a shot whose fault provably cannot reach any register a
+// program reads is classified masked without simulating the rest of it
+// (see package inject).
 type Workload struct {
 	// Name identifies the benchmark ("minife", "dct", ...).
 	Name string

@@ -123,3 +123,42 @@ func TestExecuteWorkloadError(t *testing.T) {
 		t.Error("trapping workload should surface an error")
 	}
 }
+
+func TestMemoryVersionedOnlyWithGraph(t *testing.T) {
+	words := []uint32{0x11223344, 0x55667788}
+	for _, tc := range []struct {
+		name      string
+		cfg       Config
+		versioned bool
+	}{
+		{"instrumented", DefaultConfig(), true},
+		{"injection", InjectionConfig(), false},
+	} {
+		s, err := NewSession(tc.cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		addr, err := s.InputWords(words)
+		if err != nil {
+			t.Fatal(err)
+		}
+		seen := map[dataflow.VersionID]bool{}
+		for i := uint32(0); i < uint32(4*len(words)); i++ {
+			v := s.Mem.VersionAt(addr + i)
+			if !tc.versioned {
+				if v != 0 {
+					t.Errorf("%s: byte %d at version %d, want ground", tc.name, i, v)
+				}
+				continue
+			}
+			if v == 0 || seen[v] {
+				t.Errorf("%s: byte %d at version %d, want a fresh version per byte", tc.name, i, v)
+			}
+			seen[v] = true
+		}
+		got, err := s.Mem.Words(addr, len(words))
+		if err != nil || got[0] != words[0] || got[1] != words[1] {
+			t.Errorf("%s: input reads back %v, %v", tc.name, got, err)
+		}
+	}
+}
