@@ -26,6 +26,7 @@ import (
 	"fmt"
 	"math/bits"
 	"runtime"
+	"slices"
 	"sync"
 
 	"mbavf/internal/bitgeom"
@@ -354,8 +355,39 @@ func (s *Series) PublishGauges(structure string) {
 // AnalyzeWindowed computes the MB-AVF of fault mode under scheme, also
 // accumulating per-window counters when window > 0.
 func (a *Analyzer) AnalyzeWindowed(scheme ecc.Scheme, mode bitgeom.FaultMode, window interval.Cycle) (*Series, error) {
+	out, err := a.AnalyzeMany(window, []Query{{Scheme: scheme, Mode: mode}})
+	if err != nil {
+		return nil, err
+	}
+	return out[0], nil
+}
+
+// Query is one (protection scheme, fault mode) pair of a batched
+// analysis.
+type Query struct {
+	Scheme ecc.Scheme
+	Mode   bitgeom.FaultMode
+}
+
+// AnalyzeMany computes the MB-AVF of every query over the same run,
+// structure and layout, returning one Series per query in query order,
+// each == to what AnalyzeWindowed returns for that query alone. The
+// packable queries share one row sweep: each wordline is remapped,
+// packed and replayed once for all of them, and only classification is
+// per query. The SB-AVF numerators, which depend on neither scheme nor
+// mode, are accumulated once. Modes the packed solver cannot take, and
+// every mode under the scalar escape hatch, are swept one query at a
+// time.
+func (a *Analyzer) AnalyzeMany(window interval.Cycle, queries []Query) ([]*Series, error) {
 	if err := a.Validate(); err != nil {
 		return nil, err
+	}
+	geom := a.Layout.Geom
+	for _, q := range queries {
+		if geom.GroupCount(q.Mode) == 0 {
+			return nil, fmt.Errorf("core: fault mode %s does not fit geometry %dx%d",
+				q.Mode.Name(), geom.Rows, geom.Cols)
+		}
 	}
 	label := a.Name
 	if label == "" {
@@ -363,66 +395,84 @@ func (a *Analyzer) AnalyzeWindowed(scheme ecc.Scheme, mode bitgeom.FaultMode, wi
 	}
 	sp := obs.StartSpan2("analyze:", label)
 	defer sp.End()
-	geom := a.Layout.Geom
-	groups := geom.GroupCount(mode)
-	if groups == 0 {
-		return nil, fmt.Errorf("core: fault mode %s does not fit geometry %dx%d",
-			mode.Name(), geom.Rows, geom.Cols)
-	}
-	obsAnalyses.Add(1)
-	obsGroups.Add(uint64(groups))
-	nWindows := 0
-	if window > 0 {
-		nWindows = int((a.TotalCycles + window - 1) / window)
-	}
-	mk := func() Result {
-		return Result{
-			SchemeName:  scheme.Name(),
-			ModeName:    mode.Name(),
-			ModeSize:    mode.Size(),
-			Groups:      groups,
-			Bits:        geom.Bits(),
-			TotalCycles: a.TotalCycles,
-		}
-	}
-	s := &Series{Window: window, Total: mk()}
-	for i := 0; i < nWindows; i++ {
-		r := mk()
-		r.TotalCycles = min(window, a.TotalCycles-interval.Cycle(i)*window)
-		s.Windows = append(s.Windows, r)
-	}
-	a.accumulateBits(s, window)
+	// The SB-AVF numerators depend on neither scheme nor mode: one
+	// accumulation serves every query.
+	bitSums := a.newSeries(window)
+	a.accumulateBits(bitSums, window)
 
-	// The packed word-parallel solver serves every single-row mode up to
-	// 64 columns wide (all of the paper's Mx1 modes); taller or wider
-	// patterns and the -scalar-solve escape hatch take the per-bit
-	// reference sweep. Both paths are bit-identical; the packed path
-	// shards by wordline (its unit of work), the scalar path by group.
-	usePacked := PackedEligible(mode) && !a.ScalarSolve && !ScalarSolveForced()
-	units := groups
-	if usePacked {
-		units = geom.Rows
-	}
-	sweep := func(sh *Series, lo, hi int) {
-		if usePacked {
-			a.sweepRowsPacked(scheme, mode, sh, window, lo, hi)
-		} else {
-			a.sweepGroups(scheme, mode, sh, window, lo, hi)
+	out := make([]*Series, len(queries))
+	var packed []Query
+	var packedOut []*Series
+	scalar := a.ScalarSolve || ScalarSolveForced()
+	var groupBits obs.LocalHist
+	for i, q := range queries {
+		groups := geom.GroupCount(q.Mode)
+		obsAnalyses.Add(1)
+		obsGroups.Add(uint64(groups))
+		s := bitSums.forQuery(q, groups)
+		out[i] = s
+		if scalar || !PackedEligible(q.Mode) {
+			a.sharded([]*Series{s}, groups, func(dst []*Series, lo, hi int) {
+				a.sweepGroups(q.Scheme, q.Mode, dst[0], window, lo, hi)
+			})
+			continue
 		}
+		if obs.Enabled() {
+			groupBits.ObserveN(uint64(q.Mode.Size()), uint64(groups))
+		}
+		packed = append(packed, q)
+		packedOut = append(packedOut, s)
 	}
+	groupBits.FlushTo(obsGroupBits)
+	if len(packed) > 0 {
+		a.sharded(packedOut, geom.Rows, func(dst []*Series, lo, hi int) {
+			a.sweepRows(packed, dst, window, lo, hi)
+		})
+	}
+	return out, nil
+}
 
+// newSeries returns an empty series with one Result per window of
+// window cycles (none when window is zero).
+func (a *Analyzer) newSeries(window interval.Cycle) *Series {
+	nbits := a.Layout.Geom.Bits()
+	s := &Series{Window: window, Total: Result{Bits: nbits, TotalCycles: a.TotalCycles}}
+	for start := interval.Cycle(0); window > 0 && start < a.TotalCycles; start += window {
+		s.Windows = append(s.Windows, Result{Bits: nbits, TotalCycles: min(window, a.TotalCycles-start)})
+	}
+	return s
+}
+
+// forQuery returns a copy of s labelled with query q and its group
+// count.
+func (s *Series) forQuery(q Query, groups int) *Series {
+	out := &Series{Window: s.Window, Total: s.Total, Windows: slices.Clone(s.Windows)}
+	label := func(r *Result) {
+		r.SchemeName, r.ModeName, r.ModeSize, r.Groups = q.Scheme.Name(), q.Mode.Name(), q.Mode.Size(), groups
+	}
+	label(&out.Total)
+	for i := range out.Windows {
+		label(&out.Windows[i])
+	}
+	return out
+}
+
+// sharded runs sweep over work units [0, units) into dst, split into
+// contiguous shards across up to Parallelism workers (zero means
+// GOMAXPROCS). Each worker sweeps into private shadow series whose
+// counters merge into dst at the end; counters are integer sums, so
+// results are identical at any setting.
+func (a *Analyzer) sharded(dst []*Series, units int, sweep func(dst []*Series, lo, hi int)) {
 	workers := a.Parallelism
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
 	workers = min(workers, units)
 	if workers <= 1 {
-		sweep(s, 0, units)
-		return s, nil
+		sweep(dst, 0, units)
+		return
 	}
-	// Each worker sweeps a contiguous shard of work units into a
-	// private shadow series; shards merge at the end.
-	shadows := make([]*Series, workers)
+	shadows := make([][]*Series, workers)
 	var wg sync.WaitGroup
 	per := (units + workers - 1) / workers
 	for w := 0; w < workers; w++ {
@@ -431,8 +481,10 @@ func (a *Analyzer) AnalyzeWindowed(scheme ecc.Scheme, mode bitgeom.FaultMode, wi
 		if lo >= hi {
 			break
 		}
-		sh := &Series{Window: window, Total: mk()}
-		sh.Windows = make([]Result, nWindows)
+		sh := make([]*Series, len(dst))
+		for i, s := range dst {
+			sh[i] = &Series{Windows: make([]Result, len(s.Windows))}
+		}
 		shadows[w] = sh
 		wg.Add(1)
 		go func() {
@@ -442,34 +494,20 @@ func (a *Analyzer) AnalyzeWindowed(scheme ecc.Scheme, mode bitgeom.FaultMode, wi
 	}
 	wg.Wait()
 	for _, sh := range shadows {
-		if sh == nil {
-			continue
-		}
-		s.Total.Counters.add(sh.Total.Counters)
-		for i := range sh.Windows {
-			s.Windows[i].Counters.add(sh.Windows[i].Counters)
+		for i, s := range sh {
+			dst[i].Total.Counters.add(s.Total.Counters)
+			for w := range s.Windows {
+				dst[i].Windows[w].Counters.add(s.Windows[w].Counters)
+			}
 		}
 	}
-	return s, nil
 }
 
-// addCounters distributes span cycles of the given class into total and
-// window counters.
-func addCounters(s *Series, window interval.Cycle, cls Class, dueUnion bool, start, end interval.Cycle) {
-	addOne := func(r *Result, n interval.Cycle) {
-		if dueUnion {
-			r.Counters.DUE += n
-		}
-		switch cls {
-		case ClassTrueDUE:
-			r.Counters.TrueDUE += n
-		case ClassFalseDUE:
-			r.Counters.FalseDUE += n
-		case ClassSDC:
-			r.Counters.SDC += n
-		}
-	}
-	addOne(&s.Total, end-start)
+// addCounters adds the span [start, end) into the total and window
+// counters of s, weighted by n: n.DUE groups in the DUE union, n.TrueDUE
+// groups in the true-DUE class, and so on.
+func addCounters(s *Series, window interval.Cycle, n Counters, start, end interval.Cycle) {
+	s.Total.Counters.addScaled(n, end-start)
 	if window == 0 {
 		return
 	}
@@ -480,8 +518,34 @@ func addCounters(s *Series, window interval.Cycle, cls Class, dueUnion bool, sta
 		}
 		we := ws + window
 		overlap := min(end, we) - max(start, ws)
-		addOne(&s.Windows[wi], overlap)
+		s.Windows[wi].Counters.addScaled(n, overlap)
 	}
+}
+
+// addScaled adds k cycles for each group counted in n.
+func (c *Counters) addScaled(n Counters, k interval.Cycle) {
+	c.DUE += n.DUE * k
+	c.TrueDUE += n.TrueDUE * k
+	c.FalseDUE += n.FalseDUE * k
+	c.SDC += n.SDC * k
+}
+
+// classCounts returns the counts of one group in class cls, also in the
+// DUE union when dueUnion is set.
+func classCounts(cls Class, dueUnion bool) Counters {
+	var n Counters
+	if dueUnion {
+		n.DUE = 1
+	}
+	switch cls {
+	case ClassTrueDUE:
+		n.TrueDUE = 1
+	case ClassFalseDUE:
+		n.FalseDUE = 1
+	case ClassSDC:
+		n.SDC = 1
+	}
+	return n
 }
 
 // addBitCycles distributes bit-level ACE cycles into total and windows,
@@ -667,7 +731,7 @@ func (a *Analyzer) sweepOneGroup(cursors []byteCursor, regions []region, s *Seri
 			}
 		}
 		if cls != ClassUnACE || anyDetACE {
-			addCounters(s, window, cls, anyDetACE, t, next)
+			addCounters(s, window, classCounts(cls, anyDetACE), t, next)
 		}
 		t = next
 	}

@@ -7,8 +7,9 @@ package core
 //  1. packed<->segment round trip: lifetime.Pack followed by Unpack
 //     reproduces the tracker's timelines clamped to the horizon (also
 //     exercised at a shorter horizon so clamping paths run);
-//  2. solver agreement: the packed and scalar solvers produce identical
-//     Counters for the fuzzed timeline.
+//  2. solver agreement: every (scheme, mode) query of one batched packed
+//     sweep produces a Result identical to the scalar solver's for the
+//     fuzzed timeline.
 
 import (
 	"bytes"
@@ -155,22 +156,28 @@ func FuzzPackedTimeline(f *testing.F) {
 			TotalCycles:          horizon,
 			DetectionPreemptsSDC: len(data)%2 == 0,
 		}
-		schemes := []ecc.Scheme{ecc.None{}, ecc.Parity{}, ecc.SECDED{}}
-		scheme := schemes[len(data)%len(schemes)]
-		mode := bitgeom.Mx1(1 + len(data)%4)
-		a.ScalarSolve = false
-		packed, err := a.Analyze(scheme, mode)
+		// Every scheme x mode as one batch: each query must match the
+		// scalar oracle.
+		var batch []Query
+		for _, scheme := range []ecc.Scheme{ecc.None{}, ecc.Parity{}, ecc.SECDED{}} {
+			for m := 1; m <= 4; m++ {
+				batch = append(batch, Query{Scheme: scheme, Mode: bitgeom.Mx1(m)})
+			}
+		}
+		packed, err := a.AnalyzeMany(0, batch)
 		if err != nil {
 			t.Fatal(err)
 		}
 		a.ScalarSolve = true
-		scalar, err := a.Analyze(scheme, mode)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if *packed != *scalar {
-			t.Fatalf("scheme %s mode %s: solver mismatch\npacked %+v\nscalar %+v",
-				scheme.Name(), mode.Name(), packed, scalar)
+		for i, q := range batch {
+			scalar, err := a.Analyze(q.Scheme, q.Mode)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if packed[i].Total != *scalar {
+				t.Fatalf("scheme %s mode %s: solver mismatch\npacked %+v\nscalar %+v",
+					q.Scheme.Name(), q.Mode.Name(), packed[i].Total, *scalar)
+			}
 		}
 	})
 }

@@ -204,10 +204,19 @@ func TestSolverEquivalenceWindowed(t *testing.T) {
 	}
 }
 
-// TestSolverEquivalenceStandardLayouts runs the matrix over the real
-// constructors (way/index-physical, intra/inter-thread) so the packed
-// row remap handles strided column->word mappings, not just identity.
-func TestSolverEquivalenceStandardLayouts(t *testing.T) {
+// standardLayout is one named-constructor layout of the equivalence
+// matrix, with whether its tracker records one version per word.
+type standardLayout struct {
+	lay          *interleave.Layout
+	wordVersions bool
+}
+
+// standardLayouts returns the real constructors (way/index-physical,
+// intra/inter-thread, logical) plus an aperiodic custom map, so the
+// packed row remap handles strided column->word mappings, not just
+// identity.
+func standardLayouts(t testing.TB) []standardLayout {
+	t.Helper()
 	mk := []func() (*interleave.Layout, bool, error){
 		func() (*interleave.Layout, bool, error) {
 			l, err := interleave.WayPhysical(2, 4, 16, 2)
@@ -240,17 +249,28 @@ func TestSolverEquivalenceStandardLayouts(t *testing.T) {
 			return l, false, err
 		},
 	}
-	for li, f := range mk {
+	var out []standardLayout
+	for _, f := range mk {
 		lay, wordVersions, err := f()
 		if err != nil {
 			t.Fatal(err)
 		}
+		out = append(out, standardLayout{lay, wordVersions})
+	}
+	return out
+}
+
+// TestSolverEquivalenceStandardLayouts runs the matrix over the
+// standard layouts.
+func TestSolverEquivalenceStandardLayouts(t *testing.T) {
+	for li, sl := range standardLayouts(t) {
+		lay := sl.lay
 		t.Run(lay.Name(), func(t *testing.T) {
 			for si, scheme := range equivSchemes() {
 				for mi, mode := range equivModes() {
 					seed := int64(7777*li + 100*si + mi)
 					r := rand.New(rand.NewSource(seed))
-					a := randomTimelineAnalyzer(r, lay, wordVersions, 48, li%2 == 0)
+					a := randomTimelineAnalyzer(r, lay, sl.wordVersions, 48, li%2 == 0)
 					packed, scalar, ok := solveBoth(t, a, scheme, mode, 11)
 					if !ok {
 						continue
@@ -307,7 +327,10 @@ func TestPackedPathTaken(t *testing.T) {
 // TestSolverConcurrentPaths solves the same run concurrently from both
 // solver paths (sharing one tracker, graph, and layout, each analysis
 // itself internally sharded) — the race-detector leg of the equivalence
-// harness.
+// harness. SEC-DED 2x1 over x2 interleaving is all-corrected (every
+// region is one corrected bit), so its packed leg skips every row; a
+// batch of counted queries, which must come out non-zero, keeps the
+// packed sweep itself under the detector.
 func TestSolverConcurrentPaths(t *testing.T) {
 	r := rand.New(rand.NewSource(99))
 	lay := boundaryLayout(t, 8, 64, 2)
@@ -318,13 +341,28 @@ func TestSolverConcurrentPaths(t *testing.T) {
 	scalarA := *base
 	scalarA.ScalarSolve = true
 
-	want, err := packedA.AnalyzeWindowed(ecc.SECDED{}, bitgeom.Mx1(2), 17)
+	batch := []Query{
+		{ecc.SECDED{}, bitgeom.Mx1(2)},
+		{ecc.Parity{}, bitgeom.Mx1(2)},
+		{ecc.None{}, bitgeom.Mx1(3)},
+		{ecc.SECDED{}, bitgeom.Mx1(4)},
+		{ecc.DECTED{}, bitgeom.Mx1(8)},
+	}
+	want, err := scalarA.AnalyzeMany(17, batch)
 	if err != nil {
 		t.Fatal(err)
 	}
+	if want[0].Total.Counters != (Counters{}) {
+		t.Fatalf("SEC-DED 2x1 over x2 counted %+v, want all-corrected zero", want[0].Total.Counters)
+	}
+	for i, s := range want[1:] {
+		if s.Total.Counters == (Counters{}) {
+			t.Fatalf("query %d (%s %s) counted nothing", i+1, batch[i+1].Scheme.Name(), batch[i+1].Mode.Name())
+		}
+	}
 
 	var wg sync.WaitGroup
-	results := make([]*Series, 8)
+	results := make([][]*Series, 8)
 	errs := make([]error, 8)
 	for i := range results {
 		a := &packedA
@@ -334,7 +372,14 @@ func TestSolverConcurrentPaths(t *testing.T) {
 		wg.Add(1)
 		go func(i int, a *Analyzer) {
 			defer wg.Done()
-			results[i], errs[i] = a.AnalyzeWindowed(ecc.SECDED{}, bitgeom.Mx1(2), 17)
+			if i%4 == 0 {
+				// The all-corrected query alone, as before batching.
+				var s *Series
+				s, errs[i] = a.AnalyzeWindowed(batch[0].Scheme, batch[0].Mode, 17)
+				results[i] = []*Series{s}
+				return
+			}
+			results[i], errs[i] = a.AnalyzeMany(17, batch)
 		}(i, a)
 	}
 	wg.Wait()
@@ -342,6 +387,8 @@ func TestSolverConcurrentPaths(t *testing.T) {
 		if errs[i] != nil {
 			t.Fatalf("goroutine %d: %v", i, errs[i])
 		}
-		requireSeriesIdentical(t, fmt.Sprintf("goroutine %d", i), results[i], want)
+		for q, s := range results[i] {
+			requireSeriesIdentical(t, fmt.Sprintf("goroutine %d query %d", i, q), s, want[q])
+		}
 	}
 }

@@ -55,8 +55,10 @@ func locality(o Options) ([]*report.Table, error) {
 func schemes(o Options) ([]*report.Table, error) {
 	codes := []ecc.Scheme{ecc.None{}, ecc.Parity{}, ecc.SECDED{}, ecc.DECTED{}, ecc.CRC{Width: 8}}
 	header := []string{"workload"}
+	var queries []core.Query
 	for _, c := range codes {
 		header = append(header, c.Name()+" DUE", c.Name()+" SDC")
+		queries = append(queries, core.Query{Scheme: c, Mode: bitgeom.Mx1(4)})
 	}
 	t := report.NewTable("Ablation: protection schemes on 4x1 faults, x2 way-physical interleaving", header...)
 	t.Caption = "Each domain sees 2 flips: parity undetected, SEC-DED detected, DEC-TED corrected, CRC detected."
@@ -70,14 +72,13 @@ func schemes(o Options) ([]*report.Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		an := l1Analyzer(s, lay)
+		series, err := l1Analyzer(s, lay).AnalyzeMany(0, queries)
+		if err != nil {
+			return nil, err
+		}
 		row := []any{name}
-		for _, c := range codes {
-			r, err := an.Analyze(c, bitgeom.Mx1(4))
-			if err != nil {
-				return nil, err
-			}
-			row = append(row, r.DUEMBAVF(), r.SDCMBAVF())
+		for _, sr := range series {
+			row = append(row, sr.Total.DUEMBAVF(), sr.Total.SDCMBAVF())
 		}
 		t.AddRowf(row...)
 	}
@@ -95,8 +96,10 @@ func geometry(o Options) ([]*report.Table, error) {
 		bitgeom.Rect(2, 4),
 	}
 	header := []string{"workload"}
+	var queries []core.Query
 	for _, m := range modes {
 		header = append(header, m.Name())
+		queries = append(queries, core.Query{Scheme: ecc.CRC{Width: 8}, Mode: m})
 	}
 	t := report.NewTable("Ablation: contiguous vs rectangular fault geometries (CRC-8, x2 way-physical, DUE/SB)", header...)
 	t.Caption = "Mode names are width x height. CRC-8 detects every tested size, so DUE/SB isolates pure geometry: rectangular faults span wordlines, touch more distinct lines, and push MB-AVF higher than same-size contiguous faults."
@@ -110,14 +113,13 @@ func geometry(o Options) ([]*report.Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		an := l1Analyzer(s, lay)
+		series, err := l1Analyzer(s, lay).AnalyzeMany(0, queries)
+		if err != nil {
+			return nil, err
+		}
 		row := []any{name}
-		for _, m := range modes {
-			r, err := an.Analyze(ecc.CRC{Width: 8}, m)
-			if err != nil {
-				return nil, err
-			}
-			row = append(row, stats.Ratio(r.DUEMBAVF(), r.BitAVF()))
+		for _, sr := range series {
+			row = append(row, stats.Ratio(sr.Total.DUEMBAVF(), sr.Total.BitAVF()))
 		}
 		t.AddRowf(row...)
 	}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"mbavf/internal/bitgeom"
+	"mbavf/internal/core"
 	"mbavf/internal/ecc"
 	"mbavf/internal/interleave"
 	"mbavf/internal/report"
@@ -101,61 +102,71 @@ func fig5(o Options) ([]*report.Table, error) {
 // interleaving under parity (6a) and SEC-DED (6b), reporting DUE MB-AVF
 // normalized to SB-AVF per workload (paper Figure 6).
 func fig6(o Options) ([]*report.Table, error) {
-	mk := func(scheme ecc.Scheme, sub string, modes []int) (*report.Table, error) {
-		header := []string{"workload"}
-		for _, m := range modes {
-			header = append(header, fmt.Sprintf("%dx1", m))
-		}
-		t := report.NewTable(fmt.Sprintf("Figure 6%s: L1 DUE MB-AVF / SB-AVF, %s, x4 way-physical", sub, scheme.Name()), header...)
-		sums := make([]float64, len(modes))
-		n := 0
-		for _, name := range o.workloadNames() {
-			s, err := run(o, name)
-			if err != nil {
-				return nil, err
-			}
-			sets, ways := s.L1Slots()
-			lay, err := interleave.WayPhysical(sets, ways, s.LineBytes*8, 4)
-			if err != nil {
-				return nil, err
-			}
-			an := l1Analyzer(s, lay)
-			row := []any{name}
-			for i, m := range modes {
-				r, err := an.Analyze(scheme, bitgeom.Mx1(m))
-				if err != nil {
-					return nil, err
-				}
-				ratio := stats.Ratio(r.DUEMBAVF(), r.BitAVF())
-				sums[i] += ratio
-				row = append(row, ratio)
-			}
-			n++
-			t.AddRowf(row...)
-		}
-		mean := []any{"MEAN"}
-		for _, s := range sums {
-			mean = append(mean, s/float64(n))
-		}
-		t.AddRowf(mean...)
-		return t, nil
-	}
 	// Parity with x4 interleaving detects Mx1 faults up to the interleave
 	// degree (each domain sees one flip); SEC-DED needs 5x1..8x1 to leave
 	// two flips in a domain. An 8x1 fault under SEC-DED splits exactly
 	// like a 4x1 fault under parity, the paper's Section VI-C
 	// equivalence.
-	a, err := mk(ecc.Parity{}, "a", []int{2, 3, 4})
-	if err != nil {
-		return nil, err
+	subs := []struct {
+		scheme ecc.Scheme
+		sub    string
+		modes  []int
+	}{
+		{ecc.Parity{}, "a", []int{2, 3, 4}},
+		{ecc.SECDED{}, "b", []int{5, 6, 7, 8}},
 	}
-	a.Caption = "MB-AVF grows with fault-mode size: a larger group is more likely to contain an ACE bit."
-	b, err := mk(ecc.SECDED{}, "b", []int{5, 6, 7, 8})
-	if err != nil {
-		return nil, err
+	tables := make([]*report.Table, len(subs))
+	sums := make([][]float64, len(subs))
+	var queries []core.Query
+	for i, sb := range subs {
+		header := []string{"workload"}
+		for _, m := range sb.modes {
+			header = append(header, fmt.Sprintf("%dx1", m))
+			queries = append(queries, core.Query{Scheme: sb.scheme, Mode: bitgeom.Mx1(m)})
+		}
+		tables[i] = report.NewTable(fmt.Sprintf("Figure 6%s: L1 DUE MB-AVF / SB-AVF, %s, x4 way-physical", sb.sub, sb.scheme.Name()), header...)
+		sums[i] = make([]float64, len(sb.modes))
 	}
-	b.Caption = "Mx1 under SEC-DED tracks (M-4)x1 under parity: correction absorbs per-domain single flips, so 8x1 SEC-DED matches 4x1 parity."
-	return []*report.Table{a, b}, nil
+	// Both tables share one layout per workload: one batch fills both.
+	n := 0
+	for _, name := range o.workloadNames() {
+		s, err := run(o, name)
+		if err != nil {
+			return nil, err
+		}
+		sets, ways := s.L1Slots()
+		lay, err := interleave.WayPhysical(sets, ways, s.LineBytes*8, 4)
+		if err != nil {
+			return nil, err
+		}
+		series, err := l1Analyzer(s, lay).AnalyzeMany(0, queries)
+		if err != nil {
+			return nil, err
+		}
+		k := 0
+		for i, sb := range subs {
+			row := []any{name}
+			for j := range sb.modes {
+				r := &series[k].Total
+				k++
+				ratio := stats.Ratio(r.DUEMBAVF(), r.BitAVF())
+				sums[i][j] += ratio
+				row = append(row, ratio)
+			}
+			tables[i].AddRowf(row...)
+		}
+		n++
+	}
+	for i := range subs {
+		mean := []any{"MEAN"}
+		for _, s := range sums[i] {
+			mean = append(mean, s/float64(n))
+		}
+		tables[i].AddRowf(mean...)
+	}
+	tables[0].Caption = "MB-AVF grows with fault-mode size: a larger group is more likely to contain an ACE bit."
+	tables[1].Caption = "Mx1 under SEC-DED tracks (M-4)x1 under parity: correction absorbs per-domain single flips, so 8x1 SEC-DED matches 4x1 parity."
+	return tables, nil
 }
 
 // fig8 compares SDC and DUE MB-AVF for 3x1 faults under parity with x2
@@ -206,8 +217,10 @@ func fig8(o Options) ([]*report.Table, error) {
 func fig9(o Options) ([]*report.Table, error) {
 	modes := []int{5, 6, 7, 8}
 	header := []string{"workload"}
+	var queries []core.Query
 	for _, m := range modes {
 		header = append(header, fmt.Sprintf("%dx1 SDC", m), fmt.Sprintf("%dx1 DUE", m))
+		queries = append(queries, core.Query{Scheme: ecc.SECDED{}, Mode: bitgeom.Mx1(m)})
 	}
 	t := report.NewTable("Figure 9: L1 SDC MB-AVF / SB-AVF, SEC-DED, x2 way-physical", header...)
 	t.Caption = "SDC jumps from 5x1 to 6x1 (5x1 leaves one detectable 2-flip domain) then plateaus through 8x1 (high in-line ACE locality)."
@@ -221,13 +234,13 @@ func fig9(o Options) ([]*report.Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		an := l1Analyzer(s, lay)
+		series, err := l1Analyzer(s, lay).AnalyzeMany(0, queries)
+		if err != nil {
+			return nil, err
+		}
 		row := []any{name}
-		for _, m := range modes {
-			r, err := an.Analyze(ecc.SECDED{}, bitgeom.Mx1(m))
-			if err != nil {
-				return nil, err
-			}
+		for _, sr := range series {
+			r := &sr.Total
 			sb := r.BitAVF()
 			row = append(row, stats.Ratio(r.SDCMBAVF(), sb),
 				stats.Ratio(r.TrueDUEMBAVF()+r.FalseDUEMBAVF(), sb))
@@ -242,8 +255,10 @@ func fig9(o Options) ([]*report.Table, error) {
 func fig10(o Options) ([]*report.Table, error) {
 	modes := []int{1, 2, 3, 4}
 	header := []string{"workload"}
+	var queries []core.Query
 	for _, m := range modes {
 		header = append(header, fmt.Sprintf("%dx1 true", m), fmt.Sprintf("%dx1 false", m), fmt.Sprintf("%dx1 false%%", m))
+		queries = append(queries, core.Query{Scheme: ecc.Parity{}, Mode: bitgeom.Mx1(m)})
 	}
 	t := report.NewTable("Figure 10: true vs false DUE MB-AVF by fault mode, parity, x4 way-physical", header...)
 	t.Caption = "False DUE is small on average but benchmark-dependent; its share shifts with fault-mode size."
@@ -257,14 +272,13 @@ func fig10(o Options) ([]*report.Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		an := l1Analyzer(s, lay)
+		series, err := l1Analyzer(s, lay).AnalyzeMany(0, queries)
+		if err != nil {
+			return nil, err
+		}
 		row := []any{name}
-		for _, m := range modes {
-			r, err := an.Analyze(ecc.Parity{}, bitgeom.Mx1(m))
-			if err != nil {
-				return nil, err
-			}
-			tr, fa := r.TrueDUEMBAVF(), r.FalseDUEMBAVF()
+		for _, sr := range series {
+			tr, fa := sr.Total.TrueDUEMBAVF(), sr.Total.FalseDUEMBAVF()
 			row = append(row, tr, fa, 100*stats.Ratio(fa, tr+fa))
 		}
 		t.AddRowf(row...)

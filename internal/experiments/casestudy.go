@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"mbavf/internal/bitgeom"
+	"mbavf/internal/core"
 	"mbavf/internal/ecc"
 	"mbavf/internal/faultrate"
 	"mbavf/internal/report"
@@ -56,37 +57,64 @@ func fig11(o Options) ([]*report.Table, error) {
 		"config", "SDC (MB-AVF analysis)", "SDC (SB-AVF approximation)", "DUE (MB-AVF)", "check-bit overhead")
 	t.Caption = "MB-AVF analysis lowers SDC estimates versus the SB-AVF approximation, and parity with x4 inter-thread interleaving beats SEC-DED with x2 interleaving on SDC."
 
-	names := o.workloadNames()
-	for _, cfg := range configs {
-		var sdcMB, sdcApprox, dueMB []float64
-		for _, name := range names {
-			s, err := run(o, name)
-			if err != nil {
-				return nil, err
-			}
-			lay, err := vgprLayout(s, cfg.interThread, cfg.factor)
-			if err != nil {
-				return nil, err
-			}
-			an := vgprAnalyzer(s, lay, cfg.interThread)
-			var serSDC, serApprox, serDUE float64
-			var sbLive float64
-			for _, mr := range rates {
-				r, err := an.Analyze(cfg.scheme, bitgeom.Mx1(mr.Width))
-				if err != nil {
-					return nil, err
-				}
-				sbLive = r.BitAVFLive()
-				serSDC += faultrate.SER(mr.FIT, r.SDCMBAVF())
-				serDUE += faultrate.SER(mr.FIT, r.TrueDUEMBAVF()+r.FalseDUEMBAVF())
-				serApprox += faultrate.SER(mr.FIT, approxSDCAVF(cfg.scheme, cfg.factor, mr.Width, sbLive))
-			}
-			sdcMB = append(sdcMB, serSDC)
-			sdcApprox = append(sdcApprox, serApprox)
-			dueMB = append(dueMB, serDUE)
+	// Configs sharing a (style, factor) layout differ only in scheme:
+	// each layout's schemes x Table III modes are solved as one batch
+	// per workload, then rolled up per config in the table's order.
+	type layoutKey struct {
+		interThread bool
+		factor      int
+	}
+	var keys []layoutKey
+	byLayout := map[layoutKey][]int{} // layout -> config indices
+	for ci, c := range configs {
+		k := layoutKey{c.interThread, c.factor}
+		if byLayout[k] == nil {
+			keys = append(keys, k)
 		}
+		byLayout[k] = append(byLayout[k], ci)
+	}
+	// Per config, one FIT-weighted rate per workload, in workload order.
+	sdcMB := make([][]float64, len(configs))
+	sdcApprox := make([][]float64, len(configs))
+	dueMB := make([][]float64, len(configs))
+	for _, name := range o.workloadNames() {
+		s, err := run(o, name)
+		if err != nil {
+			return nil, err
+		}
+		for _, k := range keys {
+			var queries []core.Query
+			for _, ci := range byLayout[k] {
+				for _, mr := range rates {
+					queries = append(queries, core.Query{Scheme: configs[ci].scheme, Mode: bitgeom.Mx1(mr.Width)})
+				}
+			}
+			lay, err := vgprLayout(s, k.interThread, k.factor)
+			if err != nil {
+				return nil, err
+			}
+			series, err := vgprAnalyzer(s, lay, k.interThread).AnalyzeMany(0, queries)
+			if err != nil {
+				return nil, err
+			}
+			for j, ci := range byLayout[k] {
+				cfg := configs[ci]
+				var serSDC, serApprox, serDUE float64
+				for mi, mr := range rates {
+					r := &series[j*len(rates)+mi].Total
+					serSDC += faultrate.SER(mr.FIT, r.SDCMBAVF())
+					serDUE += faultrate.SER(mr.FIT, r.TrueDUEMBAVF()+r.FalseDUEMBAVF())
+					serApprox += faultrate.SER(mr.FIT, approxSDCAVF(cfg.scheme, cfg.factor, mr.Width, r.BitAVFLive()))
+				}
+				sdcMB[ci] = append(sdcMB[ci], serSDC)
+				sdcApprox[ci] = append(sdcApprox[ci], serApprox)
+				dueMB[ci] = append(dueMB[ci], serDUE)
+			}
+		}
+	}
+	for ci, cfg := range configs {
 		overhead := ecc.Overhead(cfg.scheme, 32)
-		t.AddRowf(cfg.label, stats.Mean(sdcMB), stats.Mean(sdcApprox), stats.Mean(dueMB),
+		t.AddRowf(cfg.label, stats.Mean(sdcMB[ci]), stats.Mean(sdcApprox[ci]), stats.Mean(dueMB[ci]),
 			fmt.Sprintf("%.1f%%", 100*overhead))
 	}
 	return []*report.Table{t}, nil

@@ -101,6 +101,12 @@ func (l *LocalHist) Observe(v uint64) {
 	l.sum += v
 }
 
+// ObserveN adds n observations of the same value v.
+func (l *LocalHist) ObserveN(v, n uint64) {
+	l.buckets[bits.Len64(v)] += n
+	l.sum += v * n
+}
+
 // FlushTo merges the local histogram into h when the layer is enabled,
 // then zeroes the local state either way.
 func (l *LocalHist) FlushTo(h *Histogram) {

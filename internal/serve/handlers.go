@@ -438,6 +438,9 @@ func (s *Server) handleSER(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, err)
 		return
 	}
+	// The roll-up covers every Table III mode, so a mode parameter cannot
+	// change the answer: drop it from the cache key and the echo.
+	q.ModeBits = 0
 	began := time.Now()
 	v, cached, err := s.results.Get(r.Context(), q.key("ser"), func() (any, error) {
 		run, _, err := s.run(r.Context(), q.Workload, st)

@@ -14,6 +14,8 @@ import (
 	"time"
 
 	"mbavf"
+	"mbavf/internal/faultrate"
+	"mbavf/internal/obs"
 )
 
 // newTestServer builds a small Server plus an httptest front end. Tests
@@ -245,6 +247,39 @@ func TestRoutesAndErrors(t *testing.T) {
 	}
 	if ser.SDCFit != want.SDC || ser.DUEFit != want.DUE {
 		t.Errorf("HTTP SER = (%v, %v), library = %+v", ser.SDCFit, ser.DUEFit, want)
+	}
+}
+
+// TestSERIgnoresMode pins the SER route's cache key: the roll-up covers
+// every Table III mode, so requests that differ only in mode (absent,
+// in range, negative) cost one roll-up, and the rest are result-cache
+// hits that echo the mode cleared.
+func TestSERIgnoresMode(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	const base = "/api/v1/ser?workload=vecadd&structure=vgpr&scheme=sec-ded&style=inter-thread&factor=2"
+	analyses := obs.NewCounter("core.analyses")
+	before := analyses.Value()
+	var first SERResponse
+	getJSON(t, ts.URL+base, http.StatusOK, &first)
+	if first.Cached {
+		t.Fatal("first SER query reported a cache hit")
+	}
+	for _, mode := range []string{"3", "-7", "8", "0"} {
+		var got SERResponse
+		getJSON(t, ts.URL+base+"&mode="+mode, http.StatusOK, &got)
+		if !got.Cached {
+			t.Errorf("mode=%s: SER recomputed instead of hitting the cache", mode)
+		}
+		if got.SDCFit != first.SDCFit || got.DUEFit != first.DUEFit {
+			t.Errorf("mode=%s: SER = (%v, %v), want (%v, %v)", mode, got.SDCFit, got.DUEFit, first.SDCFit, first.DUEFit)
+		}
+		if got.ModeBits != 0 {
+			t.Errorf("mode=%s: echoed mode %d, want it cleared", mode, got.ModeBits)
+		}
+	}
+	// One roll-up is one analysis per Table III mode.
+	if n, want := analyses.Value()-before, uint64(len(faultrate.TableIII())); n != want {
+		t.Errorf("SER queries differing only in mode ran %d analyses, want one roll-up (%d)", n, want)
 	}
 }
 

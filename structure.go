@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 
+	"mbavf/internal/bitgeom"
 	"mbavf/internal/core"
 	"mbavf/internal/dataflow"
 	"mbavf/internal/faultrate"
@@ -194,12 +195,30 @@ func (r *Run) AVFSeries(st Structure, scheme Scheme, il Interleaving, modeBits, 
 // rates using the paper's Table III raw fault rates (1x1 through 8x1,
 // total rate normalized to 100).
 func (r *Run) SER(st Structure, scheme Scheme, il Interleaving) (SER, error) {
+	if err := validateQuery(il, 1); err != nil {
+		return SER{}, err
+	}
+	a, err := r.analyzerFor(st, il)
+	if err != nil {
+		return SER{}, err
+	}
+	impl, err := scheme.impl()
+	if err != nil {
+		return SER{}, err
+	}
+	// Every mode shares the layout: one batch solves them all.
+	rates := faultrate.TableIII()
+	queries := make([]core.Query, len(rates))
+	for i, mr := range rates {
+		queries[i] = core.Query{Scheme: impl, Mode: bitgeom.Mx1(mr.Width)}
+	}
+	series, err := a.AnalyzeMany(0, queries)
+	if err != nil {
+		return SER{}, err
+	}
 	var out SER
-	for _, mr := range faultrate.TableIII() {
-		avf, err := r.AVF(st, scheme, il, mr.Width)
-		if err != nil {
-			return SER{}, err
-		}
+	for i, mr := range rates {
+		avf := fromResult(&series[i].Total)
 		out.SDC += faultrate.SER(mr.FIT, avf.SDC)
 		out.DUE += faultrate.SER(mr.FIT, avf.TrueDUE+avf.FalseDUE)
 	}

@@ -5,6 +5,9 @@ import (
 	"errors"
 	"reflect"
 	"testing"
+
+	"mbavf/internal/core"
+	"mbavf/internal/faultrate"
 )
 
 // TestUnifiedAVFEquivalence pins the API redesign's compatibility
@@ -84,31 +87,49 @@ func TestUnifiedSeriesEquivalence(t *testing.T) {
 	}
 }
 
+// TestUnifiedSEREquivalence pins Run.SER, which solves its Table III
+// modes as one batch, to the Table III roll-up of per-mode Run.AVF
+// calls, each solving one mode alone — summed in the same order, so the
+// two must be ==. For the L1 and the register file the per-mode solves
+// run on the scalar oracle. On kmeans one scalar L2 roll-up takes about
+// 8 s (the 36 L2 points would add five minutes), so the L2's per-mode
+// solves stay on the packed solver, one query per call; packed-vs-scalar
+// identity on the L2 is TestPaperShapes' job.
 func TestUnifiedSEREquivalence(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulates a full workload; skipped in -short (the -race CI leg)")
 	}
-	r := minife(t)
-	il := Interleaving{Style: StyleInterThread, Factor: 4}
-	got, err := r.SER(VGPR, SECDED, il)
+	r, err := RunWorkload("kmeans")
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := r.VGPRSER(SECDED, il)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got != want {
-		t.Errorf("SER(VGPR) = %+v, legacy = %+v", got, want)
-	}
-	// Cache SER has no legacy counterpart; it must at least be finite and
-	// bounded by the total raw rate.
-	cs, err := r.SER(L1, Parity, Interleaving{Style: StyleLogical, Factor: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cs.SDC < 0 || cs.DUE < 0 || cs.SDC+cs.DUE > 100 {
-		t.Errorf("L1 SER out of range: %+v", cs)
+	defer core.SetScalarSolve(false)
+	for _, st := range Structures() {
+		for _, style := range st.Styles() {
+			for _, scheme := range Schemes() {
+				for _, factor := range []int{1, 2, 4} {
+					il := Interleaving{Style: style, Factor: factor}
+					got, err := r.SER(st, scheme, il)
+					if err != nil {
+						t.Fatalf("SER(%s,%s,%+v): %v", st, scheme, il, err)
+					}
+					core.SetScalarSolve(st != L2)
+					var want SER
+					for _, mr := range faultrate.TableIII() {
+						avf, err := r.AVF(st, scheme, il, mr.Width)
+						if err != nil {
+							t.Fatalf("AVF(%s,%s,%+v,%d): %v", st, scheme, il, mr.Width, err)
+						}
+						want.SDC += faultrate.SER(mr.FIT, avf.SDC)
+						want.DUE += faultrate.SER(mr.FIT, avf.TrueDUE+avf.FalseDUE)
+					}
+					core.SetScalarSolve(false)
+					if got != want {
+						t.Errorf("SER(%s,%s,%+v) = %+v, per-mode roll-up = %+v", st, scheme, il, got, want)
+					}
+				}
+			}
+		}
 	}
 }
 
