@@ -23,10 +23,12 @@ race:
 	$(GO) test -race -short ./...
 
 # Focused race pass over the ACE solver stack (packed + scalar paths,
-# timeline packing, row remap): these packages run full — not -short —
-# so the concurrent both-paths solver test executes under the detector.
+# timeline packing, row remap) and the recorders it reads (lifetime
+# logs sealed for concurrent readers, the paged dataflow graph): these
+# packages run full — not -short — so the concurrent both-paths solver
+# test and the concurrent tracker readers execute under the detector.
 race-solver:
-	$(GO) test -race -count=1 ./internal/core ./internal/lifetime ./internal/interleave
+	$(GO) test -race -count=1 ./internal/core ./internal/lifetime ./internal/interleave ./internal/dataflow
 
 # Focused race pass over fault injection and the simulator it drives:
 # run full, not -short, so the shot-equivalence suite (shortcut path vs
@@ -82,6 +84,7 @@ fuzz-smoke:
 	$(GO) test -run=^$$ -fuzz=FuzzHammingDecode -fuzztime=10s ./internal/ecc
 	$(GO) test -run=^$$ -fuzz=FuzzStoreRoundTrip -fuzztime=10s ./internal/store
 	$(GO) test -run=^$$ -fuzz=FuzzPackedTimeline -fuzztime=10s ./internal/core
+	$(GO) test -run=^$$ -fuzz=FuzzTrackerRecording -fuzztime=10s ./internal/lifetime
 
 clean:
 	$(GO) clean ./...

@@ -113,6 +113,7 @@ func BenchmarkFig11(b *testing.B) { benchExperiment(b, "fig11") }
 // BenchmarkSimulateMinife measures a full instrumented simulation run of
 // the minife workload (event tracking phase of the AVF methodology).
 func BenchmarkSimulateMinife(b *testing.B) {
+	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		if _, err := RunWorkload("minife"); err != nil {
 			b.Fatal(err)
@@ -334,6 +335,7 @@ func BenchmarkGroupEnumeration(b *testing.B) {
 func BenchmarkWorkloads(b *testing.B) {
 	for _, name := range Workloads() {
 		b.Run(name, func(b *testing.B) {
+			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				if _, err := RunWorkload(name); err != nil {
 					b.Fatal(err)

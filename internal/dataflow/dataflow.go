@@ -91,29 +91,49 @@ type Version struct {
 	Aux2 uint32
 }
 
+// pageShift sets the recording page size: 1<<pageShift versions per
+// page (about 164 KiB).
+const pageShift = 12
+
+const (
+	pageVersions = 1 << pageShift
+	pageMask     = pageVersions - 1
+)
+
+// page records pageVersions consecutive versions: their dependence edges
+// and the consumer facts noted against them before Solve.
+type page struct {
+	versions [pageVersions]Version
+	rootLive [pageVersions]uint32 // liveness injected by control/address/output consumers
+	lastRead [pageVersions]interval.Cycle
+	everRead [pageVersions]bool
+}
+
 // Graph accumulates versions during a simulation run and solves liveness
 // afterwards.
+//
+// Versions are recorded into fixed-size pages, so recording never
+// regrows or copies what it already recorded. Solve flattens the
+// per-version results into exact-size slices and drops the pages, edges
+// included: nothing reads them after Solve.
 type Graph struct {
-	versions []Version
-	rootLive []uint32 // liveness injected by control/address/output consumers
+	n      int     // versions recorded, ground included
+	pages  []*page // recording state; nil once solved
+	solved bool
+
+	// Solved state, one entry per version.
+	live     []uint32
 	lastRead []interval.Cycle
 	everRead []bool
-	live     []uint32
-	solved   bool
 }
 
 // NewGraph returns an empty graph. Version 0 (ground) is pre-allocated.
 func NewGraph() *Graph {
-	g := &Graph{}
-	g.versions = append(g.versions, Version{Transfer: TransferNone})
-	g.rootLive = append(g.rootLive, 0)
-	g.lastRead = append(g.lastRead, 0)
-	g.everRead = append(g.everRead, false)
-	return g
+	return &Graph{n: 1, pages: []*page{new(page)}}
 }
 
 // Len returns the number of versions, including ground.
-func (g *Graph) Len() int { return len(g.versions) }
+func (g *Graph) Len() int { return g.n }
 
 // New appends a version and returns its id. Dependencies must already
 // exist (they always do in an execution-ordered trace).
@@ -131,18 +151,32 @@ func (g *Graph) New2(t Transfer, aux, aux2 uint32, deps ...VersionID) VersionID 
 		panic("dataflow: too many dependencies")
 	}
 	v := Version{Transfer: t, NDeps: uint8(len(deps)), Aux: aux, Aux2: aux2}
-	id := VersionID(len(g.versions))
+	id := VersionID(g.n)
 	for i, d := range deps {
 		if d >= id {
 			panic(fmt.Sprintf("dataflow: dep %d not older than version %d", d, id))
 		}
 		v.Deps[i] = d
 	}
-	g.versions = append(g.versions, v)
-	g.rootLive = append(g.rootLive, 0)
-	g.lastRead = append(g.lastRead, 0)
-	g.everRead = append(g.everRead, false)
+	o := g.n & pageMask
+	if o == 0 {
+		g.pages = append(g.pages, new(page))
+	}
+	g.pages[len(g.pages)-1].versions[o] = v
+	g.n++
 	return id
+}
+
+// at locates version id's recording page. It panics once the graph is
+// solved (the pages are gone) or for an id never recorded.
+func (g *Graph) at(id VersionID) (*page, int) {
+	if g.solved {
+		panic("dataflow: graph already solved")
+	}
+	if int(id) >= g.n {
+		panic(fmt.Sprintf("dataflow: version %d not recorded (%d versions)", id, g.n))
+	}
+	return g.pages[id>>pageShift], int(id & pageMask)
 }
 
 // MarkRootLive records that bits in mask of version id are consumed by a
@@ -152,7 +186,8 @@ func (g *Graph) MarkRootLive(id VersionID, mask uint32) {
 	if id == 0 {
 		return
 	}
-	g.rootLive[id] |= mask
+	p, o := g.at(id)
+	p.rootLive[o] |= mask
 }
 
 // NoteRead records an architectural read of version id at the given
@@ -163,9 +198,10 @@ func (g *Graph) NoteRead(id VersionID, cycle interval.Cycle) {
 	if id == 0 {
 		return
 	}
-	g.everRead[id] = true
-	if cycle > g.lastRead[id] {
-		g.lastRead[id] = cycle
+	p, o := g.at(id)
+	p.everRead[o] = true
+	if cycle > p.lastRead[o] {
+		p.lastRead[o] = cycle
 	}
 }
 
@@ -189,9 +225,17 @@ func (g *Graph) Solve() {
 		return
 	}
 	g.solved = true
-	n := len(g.versions)
+	n := g.n
 	g.live = make([]uint32, n)
-	copy(g.live, g.rootLive)
+	g.lastRead = make([]interval.Cycle, n)
+	g.everRead = make([]bool, n)
+	for i, p := range g.pages {
+		lo := i << pageShift
+		hi := min(lo+pageVersions, n)
+		copy(g.live[lo:hi], p.rootLive[:hi-lo])
+		copy(g.lastRead[lo:hi], p.lastRead[:hi-lo])
+		copy(g.everRead[lo:hi], p.everRead[:hi-lo])
+	}
 	// Dependencies always have smaller ids, so a single descending pass
 	// sees each version's full consumer-driven mask before propagating it.
 	for id := n - 1; id >= 1; id-- {
@@ -199,7 +243,7 @@ func (g *Graph) Solve() {
 		if m == 0 {
 			continue
 		}
-		v := &g.versions[id]
+		v := &g.pages[id>>pageShift].versions[id&pageMask]
 		switch v.Transfer {
 		case TransferNone:
 		case TransferAll:
@@ -249,6 +293,7 @@ func (g *Graph) Solve() {
 		}
 	}
 	g.live[0] = 0
+	g.pages = nil
 }
 
 // Live returns the solved live mask of version id: the bits whose
@@ -271,14 +316,24 @@ func (g *Graph) LiveByte(id VersionID, b int) uint8 {
 func (g *Graph) Dead(id VersionID) bool { return g.Live(id) == 0 }
 
 // EverRead reports whether version id was architecturally read.
-func (g *Graph) EverRead(id VersionID) bool { return g.everRead[id] }
+func (g *Graph) EverRead(id VersionID) bool {
+	if g.solved {
+		return g.everRead[id]
+	}
+	p, o := g.at(id)
+	return p.everRead[o]
+}
 
 // ReadAfter reports whether version id was architecturally read strictly
 // after the given cycle. It drives dirty-eviction ACEness: a corrupted
 // byte written back to memory matters only if that value is consumed
 // later.
 func (g *Graph) ReadAfter(id VersionID, cycle interval.Cycle) bool {
-	return g.everRead[id] && g.lastRead[id] > cycle
+	if g.solved {
+		return g.everRead[id] && g.lastRead[id] > cycle
+	}
+	p, o := g.at(id)
+	return p.everRead[o] && p.lastRead[o] > cycle
 }
 
 // Stats summarizes the graph for reporting.
@@ -289,8 +344,8 @@ type Stats struct {
 
 // Stats returns summary statistics; Solve must have been called.
 func (g *Graph) Stats() Stats {
-	s := Stats{Versions: len(g.versions) - 1}
-	for id := 1; id < len(g.versions); id++ {
+	s := Stats{Versions: g.n - 1}
+	for id := 1; id < g.n; id++ {
 		if g.live[id] == 0 {
 			s.DeadCount++
 		}
@@ -307,16 +362,14 @@ type Snapshot struct {
 	EverRead []bool
 }
 
-// Snapshot captures the solved graph. Solve must have been called.
-func (g *Graph) Snapshot() Snapshot {
+// Solved returns the solved state without copying it: the slices are
+// owned by the graph and must not be modified. Solve must have been
+// called.
+func (g *Graph) Solved() Snapshot {
 	if !g.solved {
-		panic("dataflow: Snapshot before Solve")
+		panic("dataflow: Solved before Solve")
 	}
-	return Snapshot{
-		Live:     append([]uint32(nil), g.live...),
-		LastRead: append([]interval.Cycle(nil), g.lastRead...),
-		EverRead: append([]bool(nil), g.everRead...),
-	}
+	return Snapshot{Live: g.live, LastRead: g.lastRead, EverRead: g.everRead}
 }
 
 // Restore reconstructs a solved graph from a snapshot. The restored graph
@@ -343,6 +396,7 @@ func restore(s Snapshot) (*Graph, error) {
 			len(s.Live), len(s.LastRead), len(s.EverRead))
 	}
 	g := &Graph{
+		n:        n,
 		live:     s.Live,
 		lastRead: s.LastRead,
 		everRead: s.EverRead,

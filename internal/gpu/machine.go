@@ -366,11 +366,8 @@ func (m *Machine) RunDispatch(d Dispatch) error {
 }
 
 // Finish flushes the whole cache hierarchy at the end of simulation so
-// dirty state resolves into writeback events, and closes the VGPR
-// tracker. Call once after the last dispatch.
+// dirty state resolves into writeback events. Call once after the last
+// dispatch; whoever attached the VGPR tracker finishes it.
 func (m *Machine) Finish() {
 	m.caches.FlushAll(m.endCycle)
-	if m.vgprTracker != nil {
-		m.vgprTracker.Finish(m.endCycle)
-	}
 }

@@ -22,6 +22,8 @@ package lifetime
 
 import (
 	"fmt"
+	"sync"
+	"sync/atomic"
 
 	"mbavf/internal/dataflow"
 	"mbavf/internal/interval"
@@ -74,20 +76,60 @@ type Seg struct {
 	Version    dataflow.VersionID
 }
 
+// logPageRecs is the number of closed segments one page of a tracker's
+// recording log holds (96 KiB of 24-byte records).
+const logPageRecs = 1 << 12
+
+// maxSlots bounds a tracker's byte slots so that a slot index fits the
+// 30 bits a log record leaves it beside the segment kind.
+const maxSlots = 1 << 30
+
+// logRec is one closed segment in a tracker's recording log. The slot
+// and the kind share one word, so a record is 24 bytes.
+type logRec struct {
+	start, end interval.Cycle
+	version    dataflow.VersionID
+	slotKind   uint32 // slot<<2 | kind
+}
+
 // Tracker accumulates lifetime segments for a words x bytesPerWord
 // structure.
+//
+// Recording appends each closed segment to a log of fixed-size pages, so
+// the per-event path never regrows or copies what it already recorded.
+// Finish seals the log once into the read layout: per-slot subslices of
+// one exact-size arena, the layout the run-artifact decoder builds.
+// Reads before Finish seal whatever has been logged so far; after
+// Finish, reads write nothing, so a finished tracker is safe to share
+// between concurrent readers.
 type Tracker struct {
 	words, bytesPerWord int
-	segs                [][]Seg
-	held                []bool
-	version             []dataflow.VersionID
-	start               []interval.Cycle
+
+	// segs is the sealed layout: slot i's segments in time order.
+	segs [][]Seg
+
+	// Recording state (nil in adopted trackers): per slot, whether it
+	// holds a value, which version, and since which cycle.
+	held    []bool
+	version []dataflow.VersionID
+	start   []interval.Cycle
+
+	// pages is the recording log and logged its record count; records
+	// [0, sealed) are already in segs. mu serializes the seals of
+	// concurrent readers of an unfinished tracker.
+	pages  []*[logPageRecs]logRec
+	logged int64
+	sealed atomic.Int64
+	mu     sync.Mutex
 }
 
 // NewTracker returns a tracker for a structure of words logical words of
 // bytesPerWord bytes each.
 func NewTracker(words, bytesPerWord int) *Tracker {
 	n := words * bytesPerWord
+	if n > maxSlots {
+		panic(fmt.Sprintf("lifetime: %dx%d structure exceeds %d byte slots", words, bytesPerWord, maxSlots))
+	}
 	return &Tracker{
 		words:        words,
 		bytesPerWord: bytesPerWord,
@@ -116,7 +158,12 @@ func (t *Tracker) close(i int, cycle interval.Cycle, kind SegKind) {
 		return
 	}
 	if cycle > t.start[i] {
-		t.segs[i] = append(t.segs[i], Seg{Start: t.start[i], End: cycle, Kind: kind, Version: t.version[i]})
+		o := t.logged % logPageRecs
+		if o == 0 {
+			t.pages = append(t.pages, new([logPageRecs]logRec))
+		}
+		t.pages[len(t.pages)-1][o] = logRec{start: t.start[i], end: cycle, version: t.version[i], slotKind: uint32(i)<<2 | uint32(kind)}
+		t.logged++
 	}
 	t.start[i] = cycle
 }
@@ -159,9 +206,10 @@ func (t *Tracker) CloseDirty(word, b int, cycle interval.Cycle) {
 	t.held[i] = false
 }
 
-// Finish closes every still-open slot as dead at the end cycle. Callers
-// that need dirty end-of-run state to stay visible should flush their
-// structures (producing CloseDirty events) before calling Finish.
+// Finish closes every still-open slot as dead at the end cycle, seals
+// the recording log and drops it. Callers that need dirty end-of-run
+// state to stay visible should flush their structures (producing
+// CloseDirty events) before calling Finish.
 func (t *Tracker) Finish(end interval.Cycle) {
 	for i := range t.held {
 		if t.held[i] {
@@ -169,7 +217,76 @@ func (t *Tracker) Finish(end interval.Cycle) {
 			t.held[i] = false
 		}
 	}
+	if t.sealed.Load() != t.logged {
+		t.seal()
+	}
+	t.pages, t.logged = nil, 0
+	t.sealed.Store(0)
 	t.publishObs()
+}
+
+// ensureSealed seals the records logged since the last seal; only reads
+// before Finish find any.
+func (t *Tracker) ensureSealed() {
+	if t.sealed.Load() != t.logged {
+		t.sealLocked()
+	}
+}
+
+func (t *Tracker) sealLocked() {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if t.sealed.Load() != t.logged {
+		t.seal()
+	}
+}
+
+// seal merges the records logged since the last seal into a new
+// exact-size arena, each slot's after its already-sealed segments. The
+// log is in time order, so each slot's records are too.
+func (t *Tracker) seal() {
+	from, to := t.sealed.Load(), t.logged
+	var chunks [][]logRec
+	for p := from / logPageRecs; p*logPageRecs < to; p++ {
+		lo, hi := max(from-p*logPageRecs, 0), min(to-p*logPageRecs, logPageRecs)
+		chunks = append(chunks, t.pages[p][lo:hi])
+	}
+	// pos[i] becomes slot i's first arena index, then serves as its
+	// write cursor, ending as slot i+1's first index.
+	pos := make([]int, len(t.segs)+1)
+	for i, s := range t.segs {
+		pos[i+1] = len(s)
+	}
+	for _, c := range chunks {
+		for k := range c {
+			pos[c[k].slotKind>>2+1]++
+		}
+	}
+	for i := 1; i < len(pos); i++ {
+		pos[i] += pos[i-1]
+	}
+	arena := make([]Seg, pos[len(pos)-1])
+	for i, s := range t.segs {
+		pos[i] += copy(arena[pos[i]:], s)
+	}
+	for _, c := range chunks {
+		for k := range c {
+			r := &c[k]
+			s := r.slotKind >> 2
+			arena[pos[s]] = Seg{Start: r.start, End: r.end, Kind: SegKind(r.slotKind & 3), Version: r.version}
+			pos[s]++
+		}
+	}
+	lo := 0
+	for i := range t.segs {
+		hi := pos[i]
+		t.segs[i] = nil
+		if hi > lo {
+			t.segs[i] = arena[lo:hi:hi]
+		}
+		lo = hi
+	}
+	t.sealed.Store(to)
 }
 
 // publishObs records the finished timeline's ACE and pending segment
@@ -196,12 +313,15 @@ func (t *Tracker) publishObs() {
 // Segments returns the lifetime segments of byte b of word. The slice is
 // owned by the tracker.
 func (t *Tracker) Segments(word, b int) []Seg {
-	return t.segs[t.idx(word, b)]
+	i := t.idx(word, b)
+	t.ensureSealed()
+	return t.segs[i]
 }
 
 // SegmentCount returns the total number of segments recorded, for
 // reporting and memory budgeting.
 func (t *Tracker) SegmentCount() int {
+	t.ensureSealed()
 	n := 0
 	for _, s := range t.segs {
 		n += len(s)
@@ -209,49 +329,16 @@ func (t *Tracker) SegmentCount() int {
 	return n
 }
 
-// Snapshot is a serializable copy of a tracker's recorded segments, used
-// to persist measurement artifacts (gob/JSON friendly: exported fields
-// only).
-type Snapshot struct {
-	Words        int
-	BytesPerWord int
-	Segs         [][]Seg
-}
-
-// Snapshot copies the tracker's segments. Call after Finish; open slots
-// are not captured.
-func (t *Tracker) Snapshot() Snapshot {
-	s := Snapshot{Words: t.words, BytesPerWord: t.bytesPerWord, Segs: make([][]Seg, len(t.segs))}
-	for i, segs := range t.segs {
-		s.Segs[i] = append([]Seg(nil), segs...)
-	}
-	return s
-}
-
 // Adopt builds a finished tracker directly over segs without copying:
 // the caller hands over ownership of the slice and must not mutate it
 // afterwards. It is the rehydration path of the run-artifact store,
 // where the decoded segments are freshly allocated and copying them
-// again would double decode cost.
+// again would double decode cost. An adopted tracker has no recording
+// state: it answers reads only.
 func Adopt(words, bytesPerWord int, segs [][]Seg) (*Tracker, error) {
 	if words <= 0 || bytesPerWord <= 0 || len(segs) != words*bytesPerWord {
 		return nil, fmt.Errorf("lifetime: inconsistent adoption (%d words x %d bytes, %d slots)",
 			words, bytesPerWord, len(segs))
 	}
-	t := NewTracker(words, bytesPerWord)
-	t.segs = segs
-	return t, nil
-}
-
-// FromSnapshot reconstructs a finished tracker from a snapshot.
-func FromSnapshot(s Snapshot) (*Tracker, error) {
-	if s.Words <= 0 || s.BytesPerWord <= 0 || len(s.Segs) != s.Words*s.BytesPerWord {
-		return nil, fmt.Errorf("lifetime: inconsistent snapshot (%d words x %d bytes, %d slots)",
-			s.Words, s.BytesPerWord, len(s.Segs))
-	}
-	t := NewTracker(s.Words, s.BytesPerWord)
-	for i, segs := range s.Segs {
-		t.segs[i] = append([]Seg(nil), segs...)
-	}
-	return t, nil
+	return &Tracker{words: words, bytesPerWord: bytesPerWord, segs: segs}, nil
 }

@@ -235,7 +235,7 @@ func (s *Session) Outputs() []Region { return s.outputs }
 func (s *Session) Run(d gpu.Dispatch) error { return s.Machine.RunDispatch(d) }
 
 // Finalize flushes caches (resolving dirty state into writeback events),
-// closes trackers, marks outputs live, and solves the dataflow graph. It
+// marks outputs live, solves the dataflow graph, and closes trackers. It
 // must be called exactly once, after the last dispatch.
 func (s *Session) Finalize() error {
 	if s.finalized {
@@ -244,12 +244,9 @@ func (s *Session) Finalize() error {
 	s.finalized = true
 	s.Machine.Finish()
 	end := s.Machine.Cycles()
-	if s.L1Tracker != nil {
-		s.L1Tracker.Finish(end)
-	}
-	if s.L2Tracker != nil {
-		s.L2Tracker.Finish(end)
-	}
+	// Solve before the trackers seal: the graph drops its recording
+	// pages, so they are no longer reachable while a tracker holds both
+	// its log and the arena it seals into, the run's peak.
 	if s.Graph != nil {
 		for _, r := range s.outputs {
 			if err := s.Mem.MarkOutput(s.Graph, r.Addr, r.Len, end); err != nil {
@@ -257,6 +254,11 @@ func (s *Session) Finalize() error {
 			}
 		}
 		s.Graph.Solve()
+	}
+	for _, t := range []*lifetime.Tracker{s.VGPRTracker, s.L1Tracker, s.L2Tracker} {
+		if t != nil {
+			t.Finish(end)
+		}
 	}
 	s.publishObs()
 	return nil

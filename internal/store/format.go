@@ -32,13 +32,13 @@
 package store
 
 import (
-	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
 	"math"
+	"math/bits"
 
 	"mbavf/internal/dataflow"
 	"mbavf/internal/interval"
@@ -117,138 +117,196 @@ type SectionInfo struct {
 
 // --- encoding ---
 
-// enc is a varint-oriented append-only buffer.
+// enc is a varint-oriented append-only buffer. The encoder sizes every
+// section before writing it, so appends fill capacity allocated once.
 type enc struct{ b []byte }
 
 func (e *enc) uvarint(v uint64) { e.b = binary.AppendUvarint(e.b, v) }
 func (e *enc) varint(v int64)   { e.b = binary.AppendVarint(e.b, v) }
 func (e *enc) byte(v byte)      { e.b = append(e.b, v) }
-func (e *enc) bytes(v []byte)   { e.b = append(e.b, v...) }
 func (e *enc) str(s string)     { e.uvarint(uint64(len(s))); e.b = append(e.b, s...) }
 func (e *enc) uint(v int)       { e.uvarint(uint64(v)) }
 
-// appendSection frames one section: id, length, payload, CRC.
-func appendSection(dst []byte, id byte, payload []byte) []byte {
-	dst = append(dst, id)
-	dst = binary.AppendUvarint(dst, uint64(len(payload)))
-	dst = append(dst, payload...)
-	var crc [4]byte
-	binary.LittleEndian.PutUint32(crc[:], crc32.ChecksumIEEE(payload))
-	return append(dst, crc[:]...)
+// uvarintLen is the encoded length of v as a uvarint.
+func uvarintLen(v uint64) int { return (bits.Len64(v|1) + 6) / 7 }
+
+// zigzag maps signed to unsigned varint space the way binary.AppendVarint
+// does.
+func zigzag(v int64) uint64 { return uint64(v<<1) ^ uint64(v>>63) }
+
+// section is one section to frame: its id, the exact length of its
+// payload, and the writer that appends that payload.
+type section struct {
+	id   byte
+	size int
+	put  func(*enc)
 }
 
-// encodeMeta serializes the Meta section payload.
-func encodeMeta(m *sim.Measurements) []byte {
-	var e enc
-	e.str(m.Workload)
-	e.str(m.ConfigFP)
-	e.uvarint(m.Cycles)
-	e.uvarint(m.Instructions)
-	e.uint(m.L1Sets)
-	e.uint(m.L1Ways)
-	e.uint(m.L2Sets)
-	e.uint(m.L2Ways)
-	e.uint(m.LineBytes)
-	e.uint(m.VGPRThreads)
-	e.uint(m.VGPRRegs)
-	return e.b
+// metaInts are the meta section's geometry fields, in encoding order.
+func metaInts(m *sim.Measurements) [7]int {
+	return [7]int{m.L1Sets, m.L1Ways, m.L2Sets, m.L2Ways, m.LineBytes, m.VGPRThreads, m.VGPRRegs}
 }
 
-// encodeTracker serializes one structure's lifetime timeline. Segments
-// within a slot are ordered and non-overlapping (the tracker builds them
-// that way), so each is stored as (gap since previous end, duration,
-// kind, zigzag delta of the data version) — small numbers everywhere.
-func encodeTracker(t *lifetime.Tracker) []byte {
-	var e enc
-	e.uint(t.Words())
-	e.uint(t.BytesPerWord())
-	// The total segment count lets the decoder allocate one exact-size
-	// arena for all slots instead of one slice per slot — the difference
-	// between a ~50ms and a ~10ms decode on a cache-sized tracker.
-	total := 0
-	for w := 0; w < t.Words(); w++ {
-		for b := 0; b < t.BytesPerWord(); b++ {
-			total += len(t.Segments(w, b))
-		}
+// metaSection serializes the Meta section payload.
+func metaSection(m *sim.Measurements) section {
+	size := uvarintLen(uint64(len(m.Workload))) + len(m.Workload) +
+		uvarintLen(uint64(len(m.ConfigFP))) + len(m.ConfigFP) +
+		uvarintLen(m.Cycles) + uvarintLen(m.Instructions)
+	for _, v := range metaInts(m) {
+		size += uvarintLen(uint64(v))
 	}
-	e.uvarint(uint64(total))
-	for w := 0; w < t.Words(); w++ {
-		for b := 0; b < t.BytesPerWord(); b++ {
+	return section{secMeta, size, func(e *enc) {
+		e.str(m.Workload)
+		e.str(m.ConfigFP)
+		e.uvarint(m.Cycles)
+		e.uvarint(m.Instructions)
+		for _, v := range metaInts(m) {
+			e.uint(v)
+		}
+	}}
+}
+
+// segFields returns the three varint fields one segment encodes to,
+// given the previous segment of its slot (zero for the first): the gap
+// since the previous end, the duration, and the kind (2 bits) riding in
+// the low bits of the zigzagged version delta. Consecutive segments of a
+// byte usually hold adjacent versions, so the third field still fits one
+// byte — a quarter of the per-segment parse work and ~15% of the
+// artifact size compared to a separate kind byte.
+func segFields(s lifetime.Seg, prevEnd interval.Cycle, prevVer dataflow.VersionID) (gap, dur, packed uint64) {
+	return s.Start - prevEnd, s.End - s.Start, zigzag(int64(s.Version)-int64(prevVer))<<2 | uint64(s.Kind)
+}
+
+// trackerSection serializes one structure's lifetime timeline. Segments
+// within a slot are ordered and non-overlapping (the tracker builds them
+// that way), so each is stored as small numbers (see segFields). The
+// payload leads with the total segment count, which lets the decoder
+// allocate one exact-size arena for all slots instead of one slice per
+// slot — the difference between a ~50ms and a ~10ms decode on a
+// cache-sized tracker.
+func trackerSection(id byte, t *lifetime.Tracker) section {
+	words, bpw := t.Words(), t.BytesPerWord()
+	size, total := uvarintLen(uint64(words))+uvarintLen(uint64(bpw)), 0
+	for w := 0; w < words; w++ {
+		for b := 0; b < bpw; b++ {
 			segs := t.Segments(w, b)
-			e.uvarint(uint64(len(segs)))
+			total += len(segs)
+			size += uvarintLen(uint64(len(segs)))
 			var prevEnd interval.Cycle
-			var prevVer int64
+			var prevVer dataflow.VersionID
 			for _, s := range segs {
-				e.uvarint(s.Start - prevEnd)
-				e.uvarint(s.End - s.Start)
-				// Kind (2 bits) rides in the low bits of the zigzagged
-				// version delta: consecutive segments of a byte usually
-				// hold adjacent versions, so the whole third field still
-				// fits one byte — a quarter of the per-segment parse work
-				// and ~15% of the artifact size compared to a separate
-				// kind byte.
-				vd := int64(s.Version) - prevVer
-				zz := uint64(vd<<1) ^ uint64(vd>>63)
-				e.uvarint(zz<<2 | uint64(s.Kind))
-				prevEnd = s.End
-				prevVer = int64(s.Version)
+				gap, dur, packed := segFields(s, prevEnd, prevVer)
+				size += uvarintLen(gap) + uvarintLen(dur) + uvarintLen(packed)
+				prevEnd, prevVer = s.End, s.Version
 			}
 		}
 	}
-	return e.b
+	size += uvarintLen(uint64(total))
+	return section{id, size, func(e *enc) {
+		e.uint(words)
+		e.uint(bpw)
+		e.uint(total)
+		for w := 0; w < words; w++ {
+			for b := 0; b < bpw; b++ {
+				segs := t.Segments(w, b)
+				e.uint(len(segs))
+				var prevEnd interval.Cycle
+				var prevVer dataflow.VersionID
+				for _, s := range segs {
+					gap, dur, packed := segFields(s, prevEnd, prevVer)
+					e.uvarint(gap)
+					e.uvarint(dur)
+					e.uvarint(packed)
+					prevEnd, prevVer = s.End, s.Version
+				}
+			}
+		}
+	}}
 }
 
-// encodeGraph serializes the solved liveness graph: live masks as
+// graphSection serializes the solved liveness graph: live masks as
 // uvarints (mostly 0 or small), last-read cycles as zigzag deltas (they
 // grow with version id), and the ever-read flags as a bitset.
-func encodeGraph(g *dataflow.Graph) []byte {
-	s := g.Snapshot()
-	var e enc
+func graphSection(g *dataflow.Graph) section {
+	s := g.Solved()
 	n := len(s.Live)
-	e.uint(n)
+	size := uvarintLen(uint64(n)) + (n+7)/8
 	for _, v := range s.Live {
-		e.uvarint(uint64(v))
+		size += uvarintLen(uint64(v))
 	}
 	var prev int64
 	for _, v := range s.LastRead {
-		e.varint(int64(v) - prev)
+		size += uvarintLen(zigzag(int64(v) - prev))
 		prev = int64(v)
 	}
-	bits := make([]byte, (n+7)/8)
-	for i, r := range s.EverRead {
-		if r {
-			bits[i/8] |= 1 << (i % 8)
+	return section{secGraph, size, func(e *enc) {
+		e.uint(n)
+		for _, v := range s.Live {
+			e.uvarint(uint64(v))
 		}
-	}
-	e.bytes(bits)
-	return e.b
+		var prev int64
+		for _, v := range s.LastRead {
+			e.varint(int64(v) - prev)
+			prev = int64(v)
+		}
+		base := len(e.b)
+		e.b = e.b[:base+(n+7)/8]
+		bitset := e.b[base:]
+		clear(bitset)
+		for i, r := range s.EverRead {
+			if r {
+				bitset[i/8] |= 1 << (i % 8)
+			}
+		}
+	}}
 }
 
 // Encode writes m as one complete artifact. The measurements must be
 // fully instrumented (all three trackers and the graph); encoding is
 // deterministic, so equal measurements produce equal bytes.
 func Encode(w io.Writer, m *sim.Measurements) error {
-	if !m.Instrumented() {
-		return fmt.Errorf("store: measurements are not fully instrumented; nothing to encode")
+	data, err := EncodedBytes(m)
+	if err != nil {
+		return err
 	}
-	out := append(make([]byte, 0, 1<<16), magic...)
-	out = append(out, version)
-	out = appendSection(out, secMeta, encodeMeta(m))
-	out = appendSection(out, secL1, encodeTracker(m.L1Tracker))
-	out = appendSection(out, secL2, encodeTracker(m.L2Tracker))
-	out = appendSection(out, secVGPR, encodeTracker(m.VGPRTracker))
-	out = appendSection(out, secGraph, encodeGraph(m.Graph))
-	_, err := w.Write(out)
+	_, err = w.Write(data)
 	return err
 }
 
-// EncodedBytes returns m's artifact encoding as a byte slice.
+// EncodedBytes returns m's artifact encoding as a byte slice. Every
+// section is sized first, so the artifact is written once into one
+// exact-size allocation, each section framed as id, length, payload,
+// CRC.
 func EncodedBytes(m *sim.Measurements) ([]byte, error) {
-	var buf bytes.Buffer
-	if err := Encode(&buf, m); err != nil {
-		return nil, err
+	if !m.Instrumented() {
+		return nil, fmt.Errorf("store: measurements are not fully instrumented; nothing to encode")
 	}
-	return buf.Bytes(), nil
+	secs := [numSecs]section{
+		metaSection(m),
+		trackerSection(secL1, m.L1Tracker),
+		trackerSection(secL2, m.L2Tracker),
+		trackerSection(secVGPR, m.VGPRTracker),
+		graphSection(m.Graph),
+	}
+	size := len(magic) + 1
+	for _, s := range secs {
+		size += 1 + uvarintLen(uint64(s.size)) + s.size + 4
+	}
+	e := &enc{b: make([]byte, 0, size)}
+	e.b = append(e.b, magic...)
+	e.byte(version)
+	for _, s := range secs {
+		e.byte(s.id)
+		e.uint(s.size)
+		base := len(e.b)
+		s.put(e)
+		payload := e.b[base:]
+		if len(payload) != s.size {
+			panic(fmt.Sprintf("store: %s section encoded %d bytes, sized %d", sectionName(s.id), len(payload), s.size))
+		}
+		e.b = binary.LittleEndian.AppendUint32(e.b, crc32.ChecksumIEEE(payload))
+	}
+	return e.b, nil
 }
 
 // --- decoding ---
@@ -610,15 +668,15 @@ func decodeGraph(payload []byte) (*dataflow.Graph, int, error) {
 		snap.LastRead[i] = uint64(prev)
 	}
 	d.off = off
-	bits, err := d.take((n + 7) / 8)
+	set, err := d.take((n + 7) / 8)
 	if err != nil {
 		return nil, 0, err
 	}
 	for i := 0; i+8 <= n; i += 8 {
-		copy(snap.EverRead[i:i+8], unpackBits[bits[i/8]][:])
+		copy(snap.EverRead[i:i+8], unpackBits[set[i/8]][:])
 	}
 	for i := n &^ 7; i < n; i++ {
-		snap.EverRead[i] = bits[i/8]&(1<<(i%8)) != 0
+		snap.EverRead[i] = set[i/8]&(1<<(i%8)) != 0
 	}
 	if d.remaining() != 0 {
 		return nil, 0, fmt.Errorf("%w: %d trailing bytes in graph section", ErrCorrupt, d.remaining())

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -65,6 +66,30 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 	}
 	if !bytes.Equal(data, again) {
 		t.Errorf("re-encode differs: %d vs %d bytes", len(data), len(again))
+	}
+}
+
+// TestEncodeAllocatesOnce pins the sized encoder: an artifact is
+// written once into one exact-size buffer, so encoding allocates about
+// the artifact's own size, not growth copies of each section and of the
+// framed whole.
+func TestEncodeAllocatesOnce(t *testing.T) {
+	m := testMeasurements(t)
+	data := encoded(t)
+	if len(data) != cap(data) {
+		t.Errorf("artifact buffer has len %d, cap %d; want exact size", len(data), cap(data))
+	}
+	const runs = 4
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		if _, err := EncodedBytes(m); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	if per := (after.TotalAlloc - before.TotalAlloc) / runs; per > uint64(len(data))+4096 {
+		t.Errorf("encoding a %d-byte artifact allocates %d bytes", len(data), per)
 	}
 }
 

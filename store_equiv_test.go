@@ -3,8 +3,10 @@ package mbavf
 import (
 	"bytes"
 	"context"
+	"crypto/sha256"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"sync"
@@ -330,5 +332,64 @@ func TestRunWorkloadStoredRoundTrip(t *testing.T) {
 	if r1.Cycles() != r2.Cycles() || r1.Workload() != r2.Workload() {
 		t.Errorf("stored run differs: (%s, %d) vs (%s, %d)",
 			r1.Workload(), r1.Cycles(), r2.Workload(), r2.Cycles())
+	}
+}
+
+// artifactDigests are the sha256 digests of store.EncodedBytes for every
+// bundled workload recorded on the default machine config, by an amd64
+// build (a platform that fuses the simulator's float multiply-adds may
+// compute other values). They pin the whole record path, simulation
+// through encoding: a change to what is recorded, in what order, or how
+// it is encoded fails TestArtifactDigestsPinned. Regenerate them only
+// with a deliberate format or simulator change.
+var artifactDigests = map[string]string{
+	"backprop":          "47784ac379728a0205762264e0dbbf5856ac1d3863ecb62fe81f90ecac4fee0f",
+	"bitonicsort":       "15fc0a23ad492201861a49d08560735e7f3188583b7a0e71ff71d4a9974f5834",
+	"comd":              "704bada2dea24e5ad4045744b07ed8426bd20b26d1364c806a8db679689da2c2",
+	"dct":               "8f0ac398a1eb32076dc7da15c3d5b6ab18f0d68a1bd28e816dc714cbef6280f4",
+	"dwthaar1d":         "580fcf4d8421599c9e1df0d94729df221fe280be2efbce72e5282033c0a2f51b",
+	"fastwalsh":         "594a3c25f0437f6a1b193b70501a7f0ade0c1eeafd53bb2a9e5df0bb2f355ea4",
+	"histogram":         "469c9c593596943d64a0b1b96aa69b83b005ffe22d4b3855e7cae9d3b59d9a73",
+	"kmeans":            "c4b78c44d2d4300dd8dc487094297a34cedb8636370c7894aef4b40ddb920891",
+	"matmul":            "7d1e741b12525fbffb51f4714063b359e7d2247d6b0bd1950458f81369b3c01b",
+	"matrixtranspose":   "10ec121990c87670af9d4ea42b0edac68fd44e3e73fa10060e9b67c087eaf3e7",
+	"minife":            "f71c2fad48bdc8e57f98d6496421e52fa6a4134bb85759c08d0fee62088e7de1",
+	"nw":                "9fbebfeea80de792224f7521612ad9fc47ecf06ff7c299f381a75af381908345",
+	"prefixsum":         "2f4fbea9bb089341fc835408bcb2a11900524a423e849a784174383a75b9bda2",
+	"recursivegaussian": "91e20cd706977185d1da411d5072b805884de62e8e79f67815594f6c998edf0d",
+	"reduction":         "de51ea2167d99a1d8af7e53cc1876a46c4088fd8b71fbb55dbec455e2cfe981d",
+	"scanlargearrays":   "2d4888bb8c867442d5662bebbad556253a4557fd23267aed608840235b473d50",
+	"srad":              "e4b45ec2c92e3f1dcf0cf2c24bbe2568432b4d8e72759f1e147cbe8aaee03bb6",
+	"vecadd":            "65abb368aaabcde3b83bcb99ca726cc6a754b2fddab0cf48a78fdb1f9b56927a",
+}
+
+// TestArtifactDigestsPinned records every bundled workload and checks its
+// encoded artifact byte-for-byte against the pinned digest (about 100 MB
+// of artifacts in all).
+func TestArtifactDigestsPinned(t *testing.T) {
+	if testing.Short() {
+		t.Skip("records all 18 workloads; skipped in -short")
+	}
+	names := Workloads()
+	if len(names) != len(artifactDigests) {
+		t.Errorf("%d workloads, %d pinned digests", len(names), len(artifactDigests))
+	}
+	for _, name := range names {
+		r, err := RunWorkload(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		data, err := store.EncodedBytes(r.m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, ok := artifactDigests[name]
+		if !ok {
+			t.Errorf("%s: no pinned digest", name)
+			continue
+		}
+		if got := fmt.Sprintf("%x", sha256.Sum256(data)); got != want {
+			t.Errorf("%s: artifact sha256 %s, pinned %s (%d bytes)", name, got, want, len(data))
+		}
 	}
 }
