@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test race race-solver race-inject ci bench bench-baseline bench-compare fuzz-smoke serve-smoke fabric-smoke store-smoke clean
+.PHONY: all build vet test race race-solver race-inject ci bench bench-check fuzz-smoke serve-smoke fabric-smoke store-smoke clean
 
 all: vet build test
 
@@ -22,10 +22,10 @@ test:
 race:
 	$(GO) test -race -short ./...
 
-# Focused race pass over the ACE solver stack (packed + scalar paths,
+# Focused race pass over the ACE solver stack (the packed band sweep,
 # timeline packing, row remap) and the recorders it reads (lifetime
 # logs sealed for concurrent readers, the paged dataflow graph): these
-# packages run full — not -short — so the concurrent both-paths solver
+# packages run full — not -short — so the concurrent solver-vs-oracle
 # test and the concurrent tracker readers execute under the detector.
 race-solver:
 	$(GO) test -race -count=1 ./internal/core ./internal/lifetime ./internal/interleave ./internal/dataflow
@@ -59,22 +59,15 @@ fabric-smoke:
 store-smoke:
 	./scripts/store-smoke.sh
 
-ci: vet build race race-solver race-inject fabric-smoke store-smoke
+ci: vet build race race-solver race-inject bench-check fabric-smoke store-smoke
 
 bench:
 	$(GO) test -bench=. -benchtime=1x -run=^$$ .
 
-# One full benchmark pass in `go test -json` form, captured as the
-# machine-readable baseline for before/after performance comparisons.
-bench-baseline:
-	$(GO) test -json -bench=. -benchtime=1x -run=^$$ . > BENCH_baseline.json
-
-# Fresh benchmark pass diffed against the committed baseline; fails when
-# any benchmark slows down by more than the tolerance (see
-# cmd/mbavf-benchdiff -h for the knobs).
-bench-compare:
-	$(GO) test -json -bench=. -benchtime=1x -run=^$$ . > BENCH_current.json
-	$(GO) run ./cmd/mbavf-benchdiff -baseline BENCH_baseline.json -current BENCH_current.json
+# The repository benchmark's own checks (bench/: golden outputs, run
+# order, statistics); the benchmark itself is `bash bench/run.sh`.
+bench-check:
+	cd bench && $(GO) test ./...
 
 # Short fuzzing passes over every fuzz target (one invocation per
 # target: `go test -fuzz` accepts a single match per package).

@@ -22,7 +22,6 @@ import (
 	"time"
 
 	"mbavf"
-	"mbavf/internal/core"
 	"mbavf/internal/experiments"
 	"mbavf/internal/obs"
 	"mbavf/internal/report"
@@ -43,7 +42,6 @@ func main() {
 	debugAddr := flag.String("debug-addr", "", "serve expvar, pprof, and Prometheus /metrics on this address (e.g. :8080 or :0 for a free port)")
 	storeDir := flag.String("store", "", "persistent run-artifact store directory: load recorded runs instead of simulating, record fresh ones")
 	fabricWorkers := flag.String("fabric-workers", "", "comma-separated fabric worker base URLs; distributes injection campaigns across the fleet")
-	scalarSolve := flag.Bool("scalar-solve", false, "force the scalar per-bit ACE solver instead of the packed word-parallel one (bit-identical results, slower; for cross-checking)")
 	policiesFlag := flag.String("policies", "", "comma-separated protection policies for the policies experiment (default: all built-in policies)")
 	scrubInterval := flag.Int64("scrub-interval", 0, "scrub period in cycles for the scrubbing policies (0 = built-in default; must not be negative)")
 	flag.Parse()
@@ -52,7 +50,6 @@ func main() {
 	if *obsFlag {
 		obs.Enable()
 	}
-	core.SetScalarSolve(*scalarSolve)
 	if *tracePath != "" {
 		obs.StartTrace()
 	}

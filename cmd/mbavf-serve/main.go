@@ -26,7 +26,6 @@ import (
 	"time"
 
 	"mbavf"
-	"mbavf/internal/core"
 	"mbavf/internal/obs"
 	"mbavf/internal/serve"
 	"mbavf/internal/store"
@@ -61,12 +60,10 @@ func main() {
 		worker       = flag.Bool("worker", false, "serve the distributed-campaign fabric worker endpoints (/fabric/v1/*)")
 		fabricPeers  = flag.String("fabric-workers", "", "comma-separated worker base URLs; makes this server a fabric coordinator")
 		shotDelay    = flag.Duration("fabric-shot-delay", 0, "throttle every fabric shot by this much (chaos/testing knob for straggler rehearsal; leave 0 in production)")
-		scalarSolve  = flag.Bool("scalar-solve", false, "force the scalar per-bit ACE solver instead of the packed word-parallel one (bit-identical results, slower; for cross-checking)")
 		metrics      = flag.Bool("metrics", false, "enable the observability layer (counters, events, fleet scraping) without tracing")
 		tracePath    = flag.String("trace", "", "record a Chrome trace and write it here on drain/exit (implies -metrics)")
 	)
 	flag.Parse()
-	core.SetScalarSolve(*scalarSolve)
 
 	role := "standalone"
 	switch {

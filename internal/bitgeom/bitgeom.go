@@ -130,28 +130,12 @@ func (m FaultMode) Offsets() []Offset { return m.offsets }
 // mode's pattern.
 func (m FaultMode) Bounds() (h, w int) { return m.height, m.width }
 
-// RowMask returns the mode's offset pattern packed into a 64-bit word
-// mask relative to the anchor column — bit j is set iff the mode flips
-// the bit j columns right of the anchor — and whether the mode is
-// row-packable at all: a single-wordline pattern whose bounding width
-// fits one 64-bit word. The word-packed ACE solver uses this mask to
-// intersect fault groups with occupancy words instead of walking bits.
-func (m FaultMode) RowMask() (uint64, bool) {
-	if m.height != 1 || m.width > 64 {
-		return 0, false
-	}
-	var mask uint64
-	for _, o := range m.offsets {
-		mask |= uint64(1) << o.DCol
-	}
-	return mask, true
-}
-
 // AnchorsPerRow returns the number of fault-group anchor positions per
 // wordline for mode m (zero when the mode does not fit the geometry).
-// For single-row modes GroupCount = Rows * AnchorsPerRow and the groups
-// of row r are exactly indices [r*AnchorsPerRow, (r+1)*AnchorsPerRow) —
-// the contract the row-sharded packed solver relies on.
+// For a mode h rows tall GroupCount = (Rows-h+1) * AnchorsPerRow, and
+// the groups anchored in row r are exactly indices [r*AnchorsPerRow,
+// (r+1)*AnchorsPerRow) — the contract the band-sharded packed solver
+// relies on.
 func (g Geometry) AnchorsPerRow(m FaultMode) int {
 	ac := g.Cols - m.width + 1
 	if ac <= 0 || g.Rows-m.height+1 <= 0 {

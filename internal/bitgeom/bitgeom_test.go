@@ -167,29 +167,6 @@ func TestQuickEveryBitCoveredByGroups(t *testing.T) {
 	}
 }
 
-func TestRowMask(t *testing.T) {
-	cases := []struct {
-		mode FaultMode
-		mask uint64
-		ok   bool
-	}{
-		{Mx1(1), 1, true},
-		{Mx1(2), 0b11, true},
-		{Mx1(5), 0b11111, true},
-		{Mx1(64), ^uint64(0), true},
-		{Mx1(65), 0, false},
-		{Rect(2, 2), 0, false},
-		{Custom("gap3", []Offset{{DRow: 0, DCol: 0}, {DRow: 0, DCol: 2}}), 0b101, true},
-		{Custom("tall", []Offset{{DRow: 0, DCol: 0}, {DRow: 1, DCol: 0}}), 0, false},
-	}
-	for _, c := range cases {
-		mask, ok := c.mode.RowMask()
-		if mask != c.mask || ok != c.ok {
-			t.Errorf("%s: RowMask = (%#x, %v), want (%#x, %v)", c.mode.Name(), mask, ok, c.mask, c.ok)
-		}
-	}
-}
-
 func TestAnchorsPerRow(t *testing.T) {
 	g := Geometry{Rows: 4, Cols: 16}
 	cases := []struct {
@@ -208,17 +185,20 @@ func TestAnchorsPerRow(t *testing.T) {
 			t.Errorf("%s: AnchorsPerRow = %d, want %d", c.mode.Name(), got, c.want)
 		}
 	}
-	// The contract the packed solver's row sharding relies on: for
-	// single-row modes, groups of row r are [r*ac, (r+1)*ac).
-	mode := Mx1(3)
-	ac := g.AnchorsPerRow(mode)
-	if g.GroupCount(mode) != g.Rows*ac {
-		t.Fatalf("GroupCount %d != Rows*AnchorsPerRow %d", g.GroupCount(mode), g.Rows*ac)
-	}
-	for i := 0; i < g.GroupCount(mode); i++ {
-		a := g.GroupAnchor(mode, i)
-		if a.Row != i/ac || a.Col != i%ac {
-			t.Fatalf("group %d anchored at %+v, want row %d col %d", i, a, i/ac, i%ac)
+	// The contract the packed solver's band sharding relies on: for a
+	// mode h rows tall, the groups anchored in row r are [r*ac, (r+1)*ac)
+	// for each of the Rows-h+1 anchor rows.
+	for _, mode := range []FaultMode{Mx1(3), Rect(2, 2)} {
+		ac := g.AnchorsPerRow(mode)
+		h, _ := mode.Bounds()
+		if g.GroupCount(mode) != (g.Rows-h+1)*ac {
+			t.Fatalf("%s: GroupCount %d != (Rows-h+1)*AnchorsPerRow %d", mode.Name(), g.GroupCount(mode), (g.Rows-h+1)*ac)
+		}
+		for i := 0; i < g.GroupCount(mode); i++ {
+			a := g.GroupAnchor(mode, i)
+			if a.Row != i/ac || a.Col != i%ac {
+				t.Fatalf("%s: group %d anchored at %+v, want row %d col %d", mode.Name(), i, a, i/ac, i%ac)
+			}
 		}
 	}
 }

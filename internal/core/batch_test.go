@@ -1,9 +1,9 @@
 package core
 
 // Batched-sweep equivalence suite. AnalyzeMany solves a batch of
-// (scheme, mode) queries over one layout with a single packed row sweep;
-// every query's Series must be == both the scalar oracle's and the same
-// query solved alone, whatever else shares the batch.
+// (scheme, mode) queries over one layout with one packed band sweep per
+// mode height; every query's Series must be == both the oracle's and the
+// same query solved alone, whatever else shares the batch.
 
 import (
 	"fmt"
@@ -51,7 +51,7 @@ type batchLayout struct {
 
 func batchLayouts(t testing.TB) []batchLayout {
 	var out []batchLayout
-	for _, wc := range []struct{ cols, factor int }{{63, 1}, {64, 2}, {65, 1}, {128, 4}} {
+	for _, wc := range equivWidths {
 		out = append(out, batchLayout{boundaryLayout(t, 4, wc.cols, wc.factor), wc.cols%2 == 0})
 	}
 	for _, sl := range standardLayouts(t) {
@@ -60,8 +60,8 @@ func batchLayouts(t testing.TB) []batchLayout {
 	return append(out, batchLayout{shiftingLayout(t), false})
 }
 
-// queryPool is every (scheme, mode) pair of the scalar-vs-packed
-// matrix, packable or not.
+// queryPool is every (scheme, mode) pair of the packed-vs-oracle
+// matrix.
 func queryPool() []Query {
 	var pool []Query
 	for _, s := range equivSchemes() {
@@ -97,8 +97,8 @@ func randomBatch(r *rand.Rand, pool []Query) []Query {
 }
 
 // requireBatchMatches solves batch with AnalyzeMany and checks every
-// query against the same query solved alone and the scalar oracle. It
-// returns the batch's series.
+// query against the same query solved alone and the oracle. It returns
+// the batch's series.
 func requireBatchMatches(t *testing.T, label string, a *Analyzer, batch []Query, window uint64) []*Series {
 	t.Helper()
 	got, err := a.AnalyzeMany(window, batch)
@@ -109,21 +109,21 @@ func requireBatchMatches(t *testing.T, label string, a *Analyzer, batch []Query,
 		t.Fatalf("%s: %d series for %d queries", label, len(got), len(batch))
 	}
 	for i, q := range batch {
-		alone, scalar, ok := solveBoth(t, a, q.Scheme, q.Mode, window)
+		alone, oracle, ok := solveBoth(t, a, q.Scheme, q.Mode, window)
 		if !ok {
 			t.Fatalf("%s: query %d (%s %s) failed alone", label, i, q.Scheme.Name(), q.Mode.Name())
 		}
 		ql := fmt.Sprintf("%s query %d (%s %s)", label, i, q.Scheme.Name(), q.Mode.Name())
 		requireSeriesIdentical(t, ql+" vs alone", got[i], alone)
-		requireSeriesIdentical(t, ql+" vs scalar", got[i], scalar)
+		requireSeriesIdentical(t, ql+" vs oracle", got[i], oracle)
 	}
 	return got
 }
 
 // TestBatchEquivalence is the randomized batch matrix: every layout x
 // both preemption rules x windows {0, non-dividing} x Parallelism 1-4,
-// over random batches with duplicates, permuted order and modes the
-// packed solver cannot take mixed in.
+// over random batches with duplicates, permuted order, and modes of
+// several heights and widths mixed in.
 func TestBatchEquivalence(t *testing.T) {
 	pool := queryPool()
 	batches := 0
@@ -168,7 +168,7 @@ func TestBatchEquivalence(t *testing.T) {
 
 // TestBatchRandomized draws many more small random batches over the
 // layouts whose domain pattern varies (boundary widths, the aperiodic
-// map, the row-shifting map) to stress anchor-table reuse.
+// map, the row-shifting map) to stress partition-class reuse.
 func TestBatchRandomized(t *testing.T) {
 	layouts := batchLayouts(t)
 	pool := queryPool()

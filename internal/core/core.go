@@ -40,7 +40,7 @@ import (
 
 // Observability series for the MB-AVF engine. Sweep workers accumulate
 // into plain locals (counters and LocalHists) and publish one atomic
-// flush per shard, so the group sweep's inner loop never touches shared
+// flush per shard, so the band sweep's inner loop never touches shared
 // state.
 var (
 	obsAnalyses = obs.NewCounter("core.analyses")
@@ -50,40 +50,9 @@ var (
 	// many physical bits flip together per enumerated group).
 	obsGroupBits = obs.NewHistogram("core.group_bits")
 	// obsMergeChain is the distribution of interval-merge chain lengths:
-	// how many timeline points one group's sweep had to combine.
+	// how many breakpoint spans one band's packed timeline had.
 	obsMergeChain = obs.NewHistogram("core.merge_chain")
 )
-
-// Class is the outcome class of a fault group (or region) at an instant.
-type Class uint8
-
-const (
-	// ClassUnACE: the fault has no effect (masked or corrected).
-	ClassUnACE Class = iota
-	// ClassFalseDUE: the fault is detected but would not have corrupted
-	// program output if ignored.
-	ClassFalseDUE
-	// ClassTrueDUE: the fault is detected and would have corrupted
-	// program output.
-	ClassTrueDUE
-	// ClassSDC: the fault defeats the protection and corrupts output.
-	ClassSDC
-)
-
-func (c Class) String() string {
-	switch c {
-	case ClassUnACE:
-		return "unace"
-	case ClassFalseDUE:
-		return "false-due"
-	case ClassTrueDUE:
-		return "true-due"
-	case ClassSDC:
-		return "sdc"
-	default:
-		return fmt.Sprintf("Class(%d)", uint8(c))
-	}
-}
 
 // Analyzer computes MB-AVFs for one hardware structure from one workload
 // run.
@@ -115,11 +84,6 @@ type Analyzer struct {
 	// groups. Zero means GOMAXPROCS; one forces a serial sweep. Results
 	// are identical at any setting (fault groups are independent).
 	Parallelism int
-	// ScalarSolve forces the per-bit scalar sweep even for fault modes
-	// the word-packed solver could serve. Results are bit-identical on
-	// both paths; the flag exists as an escape hatch (-scalar-solve) and
-	// for the equivalence tests that prove that identity.
-	ScalarSolve bool
 }
 
 // Validate checks that the layout and tracker describe the same structure.
@@ -138,12 +102,6 @@ func (a *Analyzer) Validate() error {
 			a.Layout.WordBits, a.Tracker.BytesPerWord()*8)
 	}
 	return nil
-}
-
-// bitState is the resolved (uarch, live) classification of one bit over
-// one time span.
-type bitState struct {
-	uarch, live bool
 }
 
 // byteState is the resolved classification of all eight bits of one byte
@@ -208,21 +166,6 @@ func (a *Analyzer) segStateByte(seg lifetime.Seg, byteIdx int) byteState {
 		st.live = a.Graph.LiveByte(seg.Version, vb)
 	}
 	return st
-}
-
-// bit projects the byte-level state onto one bit of the byte: uarch
-// ACEness is byte-uniform, liveness per bit.
-func (bs byteState) bit(bit int) bitState {
-	return bitState{uarch: bs.uarch, live: bs.live&(1<<bit) != 0}
-}
-
-// segState classifies one lifetime segment of one bit. It derives the
-// answer from the byte-level classification — segStateByte is the single
-// source of truth for the state walk; this is only a per-bit projection
-// of it (used by the brute-force reference path the solver tests compare
-// against).
-func (a *Analyzer) segState(seg lifetime.Seg, byteIdx, bit int) bitState {
-	return a.segStateByte(seg, byteIdx).bit(bit)
 }
 
 // Counters accumulates classified cycles.
@@ -371,13 +314,11 @@ type Query struct {
 
 // AnalyzeMany computes the MB-AVF of every query over the same run,
 // structure and layout, returning one Series per query in query order,
-// each == to what AnalyzeWindowed returns for that query alone. The
-// packable queries share one row sweep: each wordline is remapped,
-// packed and replayed once for all of them, and only classification is
-// per query. The SB-AVF numerators, which depend on neither scheme nor
-// mode, are accumulated once. Modes the packed solver cannot take, and
-// every mode under the scalar escape hatch, are swept one query at a
-// time.
+// each == to what AnalyzeWindowed returns for that query alone. Queries
+// whose modes are equally tall share one band sweep: each band of
+// wordlines is remapped, packed and replayed once for all of them, and
+// only classification is per query. The SB-AVF numerators, which depend
+// on neither scheme nor mode, are accumulated once.
 func (a *Analyzer) AnalyzeMany(window interval.Cycle, queries []Query) ([]*Series, error) {
 	if err := a.Validate(); err != nil {
 		return nil, err
@@ -401,32 +342,36 @@ func (a *Analyzer) AnalyzeMany(window interval.Cycle, queries []Query) ([]*Serie
 	a.accumulateBits(bitSums, window)
 
 	out := make([]*Series, len(queries))
-	var packed []Query
-	var packedOut []*Series
-	scalar := a.ScalarSolve || ScalarSolveForced()
+	// Queries of one mode height share one band sweep.
+	type heightGroup struct {
+		h   int
+		qs  []Query
+		dst []*Series
+	}
+	var byHeight []heightGroup
 	var groupBits obs.LocalHist
 	for i, q := range queries {
 		groups := geom.GroupCount(q.Mode)
 		obsAnalyses.Add(1)
 		obsGroups.Add(uint64(groups))
-		s := bitSums.forQuery(q, groups)
-		out[i] = s
-		if scalar || !PackedEligible(q.Mode) {
-			a.sharded([]*Series{s}, groups, func(dst []*Series, lo, hi int) {
-				a.sweepGroups(q.Scheme, q.Mode, dst[0], window, lo, hi)
-			})
-			continue
-		}
 		if obs.Enabled() {
 			groupBits.ObserveN(uint64(q.Mode.Size()), uint64(groups))
 		}
-		packed = append(packed, q)
-		packedOut = append(packedOut, s)
+		out[i] = bitSums.forQuery(q, groups)
+		h, _ := q.Mode.Bounds()
+		j := slices.IndexFunc(byHeight, func(g heightGroup) bool { return g.h == h })
+		if j < 0 {
+			j = len(byHeight)
+			byHeight = append(byHeight, heightGroup{h: h})
+		}
+		byHeight[j].qs = append(byHeight[j].qs, q)
+		byHeight[j].dst = append(byHeight[j].dst, out[i])
 	}
 	groupBits.FlushTo(obsGroupBits)
-	if len(packed) > 0 {
-		a.sharded(packedOut, geom.Rows, func(dst []*Series, lo, hi int) {
-			a.sweepRows(packed, dst, window, lo, hi)
+	for _, g := range byHeight {
+		// The bands anchored at rows [0, Rows-h] are the shard units.
+		a.sharded(g.dst, geom.Rows-g.h+1, func(dst []*Series, lo, hi int) {
+			a.sweepBands(g.h, g.qs, dst, window, lo, hi)
 		})
 	}
 	return out, nil
@@ -530,24 +475,6 @@ func (c *Counters) addScaled(n Counters, k interval.Cycle) {
 	c.SDC += n.SDC * k
 }
 
-// classCounts returns the counts of one group in class cls, also in the
-// DUE union when dueUnion is set.
-func classCounts(cls Class, dueUnion bool) Counters {
-	var n Counters
-	if dueUnion {
-		n.DUE = 1
-	}
-	switch cls {
-	case ClassTrueDUE:
-		n.TrueDUE = 1
-	case ClassFalseDUE:
-		n.FalseDUE = 1
-	case ClassSDC:
-		n.SDC = 1
-	}
-	return n
-}
-
 // addBitCycles distributes bit-level ACE cycles into total and windows,
 // weighted by the number of uarch-ACE and live bits in the byte.
 func addBitCycles(s *Series, window interval.Cycle, uarchBits, liveBits int, start, end interval.Cycle) {
@@ -588,152 +515,4 @@ func (a *Analyzer) accumulateBits(s *Series, window interval.Cycle) {
 			}
 		}
 	}
-}
-
-// groupBit locates one group member bit: an index into the group's
-// deduplicated byte-cursor array plus a bit mask within that byte.
-type groupBit struct {
-	cur  int
-	mask uint8
-}
-
-// region is one overlapped region: the bits a fault group shares with one
-// protection domain.
-type region struct {
-	reaction ecc.Reaction
-	bits     []groupBit
-	nbits    int
-}
-
-type byteKey struct{ word, byteIdx int }
-
-// sweepGroups classifies fault groups [lo, hi) over time, accumulating
-// into s. Group bits sharing a byte slot share one memoized cursor.
-func (a *Analyzer) sweepGroups(scheme ecc.Scheme, mode bitgeom.FaultMode, s *Series, window interval.Cycle, lo, hi int) {
-	geom := a.Layout.Geom
-	msize := mode.Size()
-	var merges uint64
-	observing := obs.Enabled()
-	var groupBits, mergeChain obs.LocalHist
-
-	cursors := make([]byteCursor, 0, msize)
-	regions := make([]region, 0, msize)
-	domOf := make(map[int]int, msize)     // domain -> region index
-	curOf := make(map[byteKey]int, msize) // byte slot -> cursor index
-	bitBuf := make([]bitgeom.BitPos, 0, msize)
-
-	for gi := lo; gi < hi; gi++ {
-		bitBuf = geom.GroupBits(mode, gi, bitBuf[:0])
-		regions = regions[:0]
-		cursors = cursors[:0]
-		clear(domOf)
-		clear(curOf)
-		for _, pos := range bitBuf {
-			wb, dom := a.Layout.Map(pos)
-			byteIdx := wb.Bit / 8
-			key := byteKey{wb.Word, byteIdx}
-			ci, ok := curOf[key]
-			if !ok {
-				ci = len(cursors)
-				cursors = append(cursors, byteCursor{
-					segs:     a.Tracker.Segments(wb.Word, byteIdx),
-					byteIdx:  byteIdx,
-					analyzer: a,
-					cached:   -1,
-				})
-				curOf[key] = ci
-			}
-			ri, ok := domOf[dom]
-			if !ok {
-				ri = len(regions)
-				regions = append(regions, region{})
-				domOf[dom] = ri
-			}
-			regions[ri].bits = append(regions[ri].bits, groupBit{cur: ci, mask: 1 << (wb.Bit % 8)})
-			regions[ri].nbits++
-		}
-		for ri := range regions {
-			regions[ri].reaction = scheme.React(regions[ri].nbits)
-		}
-		chain := a.sweepOneGroup(cursors, regions, s, window)
-		merges += chain
-		if observing {
-			groupBits.Observe(uint64(len(bitBuf)))
-			mergeChain.Observe(chain)
-		}
-	}
-	obsMerges.Add(merges)
-	groupBits.FlushTo(obsGroupBits)
-	mergeChain.FlushTo(obsMergeChain)
-}
-
-// sweepOneGroup walks one group's merged timeline, classifying each
-// span. It returns the number of interval-merge steps taken (timeline
-// points at which the cursors' piecewise-constant states were combined),
-// the engine-work measure the observability layer reports.
-func (a *Analyzer) sweepOneGroup(cursors []byteCursor, regions []region, s *Series, window interval.Cycle) uint64 {
-	states := make([]byteState, len(cursors))
-	var merges uint64
-	t := interval.Cycle(0)
-	for t < a.TotalCycles {
-		merges++
-		next := a.TotalCycles
-		for i := range cursors {
-			st, n := cursors[i].stateAt(t)
-			states[i] = st
-			if n < next {
-				next = n
-			}
-		}
-		if next <= t {
-			break // defensive: no progress possible
-		}
-		var anyDetACE, anyTrueDUE, anySDC bool
-		for _, r := range regions {
-			if r.reaction == ecc.ReactCorrected || r.reaction == ecc.ReactNone {
-				continue
-			}
-			var uarch, live bool
-			for _, gb := range r.bits {
-				st := states[gb.cur]
-				uarch = uarch || st.uarch
-				live = live || st.live&gb.mask != 0
-			}
-			switch r.reaction {
-			case ecc.ReactDetected:
-				if uarch {
-					anyDetACE = true
-					if live {
-						anyTrueDUE = true
-					}
-				}
-			case ecc.ReactUndetected:
-				if live {
-					anySDC = true
-				}
-			}
-		}
-		cls := ClassUnACE
-		if a.DetectionPreemptsSDC && anyDetACE {
-			if anyTrueDUE || anySDC {
-				cls = ClassTrueDUE
-			} else {
-				cls = ClassFalseDUE
-			}
-		} else {
-			switch {
-			case anySDC:
-				cls = ClassSDC
-			case anyTrueDUE:
-				cls = ClassTrueDUE
-			case anyDetACE:
-				cls = ClassFalseDUE
-			}
-		}
-		if cls != ClassUnACE || anyDetACE {
-			addCounters(s, window, classCounts(cls, anyDetACE), t, next)
-		}
-		t = next
-	}
-	return merges
 }

@@ -8,8 +8,8 @@ package core
 //     reproduces the tracker's timelines clamped to the horizon (also
 //     exercised at a shorter horizon so clamping paths run);
 //  2. solver agreement: every (scheme, mode) query of one batched packed
-//     sweep produces a Result identical to the scalar solver's for the
-//     fuzzed timeline.
+//     sweep produces a Result identical to the oracle's for the fuzzed
+//     timeline.
 
 import (
 	"bytes"
@@ -157,26 +157,30 @@ func FuzzPackedTimeline(f *testing.F) {
 			DetectionPreemptsSDC: len(data)%2 == 0,
 		}
 		// Every scheme x mode as one batch: each query must match the
-		// scalar oracle.
+		// oracle. The 2x16 layout fits the two-row modes too.
+		modes := []bitgeom.FaultMode{
+			bitgeom.Mx1(1), bitgeom.Mx1(2), bitgeom.Mx1(3), bitgeom.Mx1(4),
+			bitgeom.Rect(2, 2),
+			bitgeom.Custom("gap-2r", []bitgeom.Offset{{DRow: 0, DCol: 0}, {DRow: 1, DCol: 2}}),
+		}
 		var batch []Query
 		for _, scheme := range []ecc.Scheme{ecc.None{}, ecc.Parity{}, ecc.SECDED{}} {
-			for m := 1; m <= 4; m++ {
-				batch = append(batch, Query{Scheme: scheme, Mode: bitgeom.Mx1(m)})
+			for _, m := range modes {
+				batch = append(batch, Query{Scheme: scheme, Mode: m})
 			}
 		}
 		packed, err := a.AnalyzeMany(0, batch)
 		if err != nil {
 			t.Fatal(err)
 		}
-		a.ScalarSolve = true
 		for i, q := range batch {
-			scalar, err := a.Analyze(q.Scheme, q.Mode)
+			oracle, err := a.oracleSolve(q.Scheme, q.Mode, 0)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if packed[i].Total != *scalar {
-				t.Fatalf("scheme %s mode %s: solver mismatch\npacked %+v\nscalar %+v",
-					q.Scheme.Name(), q.Mode.Name(), packed[i].Total, *scalar)
+			if packed[i].Total != oracle.Total {
+				t.Fatalf("scheme %s mode %s: solver mismatch\npacked %+v\noracle %+v",
+					q.Scheme.Name(), q.Mode.Name(), packed[i].Total, oracle.Total)
 			}
 		}
 	})

@@ -3,9 +3,7 @@ package core
 import (
 	"math/bits"
 	"slices"
-	"sync/atomic"
 
-	"mbavf/internal/bitgeom"
 	"mbavf/internal/ecc"
 	"mbavf/internal/interleave"
 	"mbavf/internal/interval"
@@ -13,72 +11,61 @@ import (
 	"mbavf/internal/obs"
 )
 
-// The word-packed ACE solver. The scalar sweep (sweepGroups) walks one
-// merged per-bit timeline per fault group: for a C-column wordline and an
-// Mx1 mode that re-walks every byte slot's timeline ~(8+M) times and pays
-// per-group cursor and map setup ~C times per row. The packed solver
-// instead processes each wordline once for a whole batch of (scheme,
-// mode) queries:
+// The word-packed ACE solver, the one solver behind every analysis. A
+// query whose fault mode is h wordlines tall is solved band by band: the
+// band anchored at row r holds rows r..r+h-1, and its fault groups are
+// the ones anchored in row r (every paper mode is one row tall, so its
+// bands are single wordlines). Each band is processed once for every
+// query of the batch with that height:
 //
-//   - the row's byte-slot timelines are merged into a single breakpoint
+//   - the band's byte-slot timelines are merged into a single breakpoint
 //     stream (lifetime.Packer);
-//   - two bitmaps of 64-bit occupancy words span the row's columns — bit
-//     c of word w in `uarch` (resp. `live`) is the microarchitectural
-//     (resp. program-level) ACEness of column 64*w+c at the current
-//     breakpoint — updated incrementally as slots change state, and the
-//     bits that changed at each breakpoint are kept per word;
-//   - per query, every fault group anchored in the row is precomputed as
-//     word masks over its 64-column window (detected-region union,
-//     undetected-region union, and the per-region masks the true-DUE
-//     refinement needs), so classifying a group is a handful of AND/OR
-//     word operations;
-//   - groups are re-classified only when a word under their window
-//     changed, and each query keeps how many of the row's groups are in
-//     each class: at every breakpoint it adds those counts times the
-//     cycles since the previous one, and classification then moves
+//   - two bitmaps of 64-bit occupancy words span the band — bit p of
+//     `uarch` (resp. `live`) is the microarchitectural (resp.
+//     program-level) ACEness of the band's bit at flat position p at the
+//     current breakpoint, where row k's column c sits at k*stride+c and
+//     the stride is the row width rounded up to whole words — updated
+//     incrementally as slots change state, and the bits that changed at
+//     each breakpoint are kept per word;
+//   - a mode offset (dr, dc) becomes the flat offset dr*stride+dc, so the
+//     occupancy under offset o of the 64 groups anchored at columns
+//     64w..64w+63 is the 64 occupancy bits starting at 64w+o;
+//   - per query, the band's anchors are grouped into partition classes:
+//     anchors whose offsets split the same way into protection domains
+//     share one class and its offset lists (the offsets of its detected
+//     regions and those of its undetected regions). Classifying 64 groups
+//     is then a handful of shifted-word ORs per class with members in
+//     their anchor word, each masked to the class's anchors. Every named
+//     layout assigns domains periodically along the row, so its bands
+//     have one class;
+//   - anchor words are re-classified only when an occupancy word they
+//     read changed, and each query keeps how many of the band's groups
+//     are in each class: at every breakpoint it adds those counts times
+//     the cycles since the previous one, and classification then moves
 //     groups between classes.
 //
 // Remapping, slot filtering, packing and the occupancy replay depend only
-// on (run, structure, layout, row), so they run once per row however many
-// queries the batch holds; only the anchor tables and the classification
-// are per query.
+// on (run, structure, layout, band), so they run once per band however
+// many queries the batch holds; only the partition classes and the
+// classification are per query.
 //
-// Counters are integer sums of span-length * class contributions, the
-// packed spans refine the scalar spans (both are piecewise-constant
-// partitions of the same step functions), and summing per span over
-// groups regroups the scalar sweep's per-group sums, so results are
-// bit-identical (==) to the scalar solver — solver_equiv_test.go pins this across every
+// Counters are integer sums of span-length * class contributions: the
+// packed spans refine every group's own timeline (both are
+// piecewise-constant partitions of the same step functions), and summing
+// per span over groups regroups the per-group sums. Results are therefore
+// bit-identical (==) to the per-group scalar sweep kept as the test
+// oracle (oracle_test.go); solver_equiv_test.go pins this across every
 // scheme x fault-mode combination and across batches.
 
 var (
-	// obsPackedRows counts wordlines swept by the packed solver: once per
-	// row per batch, however many queries share the sweep.
+	// obsPackedRows counts bands swept by the packed solver: once per
+	// band per batch, however many queries share the sweep. A band is one
+	// wordline for the paper's Mx1 modes.
 	obsPackedRows = obs.NewCounter("core.packed_rows")
-	// obsRowsSkipped counts (query, row) pairs the packed solver skipped
-	// because every region of every fault group in the row is corrected.
+	// obsRowsSkipped counts (query, band) pairs the packed solver skipped
+	// because every region of every fault group in the band is corrected.
 	obsRowsSkipped = obs.NewCounter("core.rows_skipped")
 )
-
-// scalarSolve is the process-wide escape hatch behind the -scalar-solve
-// flag: when set, every analysis takes the scalar per-bit path even for
-// packable fault modes.
-var scalarSolve atomic.Bool
-
-// SetScalarSolve toggles the process-wide scalar-solver escape hatch
-// (the -scalar-solve flag on mbavf-exp and mbavf-serve).
-func SetScalarSolve(v bool) { scalarSolve.Store(v) }
-
-// ScalarSolveForced reports whether the escape hatch is set.
-func ScalarSolveForced() bool { return scalarSolve.Load() }
-
-// PackedEligible reports whether the word-packed solver can serve the
-// given fault mode: a single-wordline pattern at most 64 columns wide.
-// (Every Mx1 mode in the paper's evaluation qualifies; multi-row Rect
-// and wider Custom modes fall back to the scalar solver.)
-func PackedEligible(mode bitgeom.FaultMode) bool {
-	_, ok := mode.RowMask()
-	return ok
-}
 
 // planeCounts returns how many groups of one anchor word's class planes
 // are in each class (UnACE=0, FalseDUE=1, TrueDUE=2, SDC=3 over bit
@@ -100,118 +87,107 @@ func (c *Counters) move(from, to Counters) {
 	c.SDC += to.SDC - from.SDC
 }
 
-// rowSweep is the reusable scratch of one packed-sweep worker: the row
+// bandSweep is the reusable scratch of one packed-sweep worker: the band
 // state every query of the batch shares, plus one querySweep per query.
 // All state is worker-local; nothing is shared between workers.
-type rowSweep struct {
+type bandSweep struct {
 	a      *Analyzer
 	window interval.Cycle
 	cols   int // geometry columns per row
+	stride int // flat positions per band row: cols rounded up to whole words
 	bpw    int // tracker bytes per word
 
-	rm      interleave.RowMap
-	prevDom []int32 // the previous row's domains (nil before the first row)
-	pk      lifetime.Packer
+	// The band's remap tables, flat by position: rms[k] views row k's
+	// stretch of word/bit/dom, so Layout.Row fills them in place.
+	rms       []interleave.RowMap
+	word, bit []int32
+	dom       []int32
+	prevDom   []int32 // the previous band's dom
+	havePrev  bool
+	pk        lifetime.Packer
 
 	// Slot index: keySlot/keyStamp map tracker slot (word*bpw+byte) to a
-	// row-local slot id; stamped per row so no clearing is needed.
+	// band-local slot id; stamped per band so no clearing is needed.
 	keySlot  []int32
 	keyStamp []int64
-	rowSeq   int64
+	bandSeq  int64
 
 	slotByte []int32          // per slot: byte index within the word
 	rawLists [][]lifetime.Seg // per slot: its tracker timeline
 	segLists [][]lifetime.Seg // per slot: filtered timeline (views into segBuf)
-	segBuf   []lifetime.Seg   // filtered-segment arena for the row
+	segBuf   []lifetime.Seg   // filtered-segment arena for the band
 	stateBuf []byteState      // per filtered segment: its resolved state
 	segOff   []int32          // per slot: offset into segBuf/stateBuf
-	slotCols []int32          // columns grouped by slot (each ascending)
-	slotOff  []int32          // per slot: offset of its columns in slotCols
-	slotFill []int32          // scratch for grouping columns by slot
-	colSlot  []int32          // per column: owning slot id
-	colSrc   []uint8          // per column: source bit within the slot's live byte
+	slotPos  []int32          // positions grouped by slot (each ascending)
+	slotOff  []int32          // per slot: offset of its positions in slotPos
+	slotFill []int32          // scratch for grouping positions by slot
+	posSlot  []int32          // per position: owning slot id
+	posSrc   []uint8          // per position: source bit within the slot's live byte
 
 	// Per-breakpoint occupancy. chg holds, per occupancy word, the bits
 	// that changed at the current breakpoint; chgWords lists the words
 	// with a non-zero chg, ascending once the breakpoint is applied.
-	uarch    []uint64 // occupancy words (+2 guard words for extraction)
+	uarch    []uint64 // occupancy words (+1 guard word for extraction)
 	live     []uint64
 	chg      []uint64
 	chgWords []int32
 
 	qs     []querySweep
-	active []*querySweep // the queries the current row needs
+	active []*querySweep // the queries the current band needs
 
-	rows, skipped, spans uint64 // observability totals
-	observing            bool
-	mergeChain           obs.LocalHist
+	bands, skipped, spans uint64 // observability totals
+	observing             bool
+	mergeChain            obs.LocalHist
 }
 
-// querySweep is one query's part of a batched row sweep: its anchor
-// tables, rebuilt only when the row's domain pattern changes, and its
-// class planes or per-anchor state and class counts, reset every row.
+// querySweep is one query's part of a batched band sweep: its partition
+// classes, rebuilt only when the band's domain pattern changes, and its
+// class planes and class counts, reset every band.
 type querySweep struct {
 	scheme ecc.Scheme
 	s      *Series
 
-	offs  []int32 // mode column offsets (DCol), ascending
+	offs  []int32 // mode offsets as flat band positions, in mode order
 	width int     // mode bounding width
-	ac    int     // anchors (fault groups) per row
-	// counted is false when every region of every group in the row is
-	// corrected: the row can add nothing to this query's counters.
+	ac    int     // anchors (fault groups) per band
+	// counted is false when every region of every group in the band is
+	// corrected: the band can add nothing to this query's counters.
 	counted bool
 
-	// cnt holds how many of the row's groups are in each class (and in
+	// cnt holds how many of the band's groups are in each class (and in
 	// the DUE union) since cycle since.
 	cnt   Counters
 	since interval.Cycle
 
-	// Per-anchor group tables and solver state, consolidated into one
-	// struct array so a group touch costs one cache line instead of a
-	// load from half a dozen parallel arrays.
-	anchors  []anchorState
-	detRegs  []uint64 // detected-region masks, flattened
-	doms     []domAcc // domain accumulation scratch (<= mode size entries)
-	prevDoms []domAcc // previous anchor's partition, for table reuse
+	classes []partClass // the band's partition classes
+	domIDs  []int32     // scratch: one anchor's distinct domains
+	labels  []int32     // scratch: one anchor's region label per offset
 
-	// Uniform-row fast path: when every anchor of the row shares one
-	// region partition (interleaved layouts assign domains periodically,
-	// so this is the overwhelmingly common case), classification is
-	// evaluated bit-sliced — one boolean-word computation classifies 64
-	// anchors at once, and the class counts change by popcounts of the
-	// class planes.
-	uniform  bool
-	detOffs  []int32 // offsets under the shared detected mask
-	umOffs   []int32 // offsets under the shared undetected mask
-	regStart []int32 // per detected region: offset into regOffs
-	regOffs  []int32
 	planeDue []uint64 // per anchor word: DUE-union bit plane
 	planeC0  []uint64 // class bit 0 plane
 	planeC1  []uint64 // class bit 1 plane
 }
 
-// anchorState is the per-fault-group row state: the group's region
-// masks (rebuilt by buildAnchors when the domain pattern changes) and
-// its classification in the span sweep (reset every row).
-type anchorState struct {
-	dm, um       uint64 // detected / undetected region mask unions
-	prevU, prevL uint64 // masked occupancy at the last classification
-	detOff       int32  // detected-region masks: detRegs[detOff:detOff+nDet]
-	nDet         int32
-	class        Counters // the group's class counts (see classCounts)
+// partClass is one partition of the mode's offsets into regions:
+// labels[j] is the region of offset j, numbered by first appearance, so
+// anchors whose offsets split alike share a class whatever their domain
+// ids. The offset lists, for the query's scheme, are what the classifier
+// reads: bit a of OR-over-detOffs of (uarch >> o) is exactly anyDet of
+// the group anchored at column a, and so on.
+type partClass struct {
+	// member holds, per anchor word, the class's anchors. A class whose
+	// regions are all corrected can count nothing and gets no members.
+	member  []uint64
+	detOffs []int32 // offsets in detected regions
+	umOffs  []int32 // offsets in undetected regions
+	labels  []int32
 }
 
-type domAcc struct {
-	dom   int32
-	nbits int32
-	mask  uint64
-}
-
-// extract64 returns the 64 occupancy bits starting at column c. words
-// carries one guard word past the row's columns, so the two-word read
-// never goes out of bounds and bits past the row read as zero.
-func extract64(words []uint64, c int) uint64 {
-	w, s := c>>6, uint(c&63)
+// extract64 returns the 64 occupancy bits starting at position p. words
+// carries one guard word past the band, so the two-word read never goes
+// out of bounds: every anchor word's extraction starts inside the band.
+func extract64(words []uint64, p int) uint64 {
+	w, s := p>>6, uint(p&63)
 	x := words[w] >> s
 	if s != 0 {
 		x |= words[w+1] << (64 - s)
@@ -219,28 +195,37 @@ func extract64(words []uint64, c int) uint64 {
 	return x
 }
 
-// newRowSweep allocates one worker's scratch for the given packable
-// queries, accumulating query i into dst[i].
-func (a *Analyzer) newRowSweep(queries []Query, dst []*Series, window interval.Cycle) *rowSweep {
+// newBandSweep allocates one worker's scratch for queries whose modes
+// are h rows tall, accumulating query i into dst[i].
+func (a *Analyzer) newBandSweep(h int, queries []Query, dst []*Series, window interval.Cycle) *bandSweep {
 	geom := a.Layout.Geom
-	rs := &rowSweep{
+	stride := (geom.Cols + 63) &^ 63
+	n := h * stride
+	rs := &bandSweep{
 		a:         a,
 		window:    window,
 		cols:      geom.Cols,
+		stride:    stride,
 		bpw:       a.Tracker.BytesPerWord(),
+		rms:       make([]interleave.RowMap, h),
+		word:      make([]int32, n),
+		bit:       make([]int32, n),
+		dom:       make([]int32, n),
+		prevDom:   make([]int32, n),
+		posSlot:   make([]int32, n),
+		posSrc:    make([]uint8, n),
+		uarch:     make([]uint64, n/64+1),
+		live:      make([]uint64, n/64+1),
+		chg:       make([]uint64, n/64+1),
 		observing: obs.Enabled(),
+	}
+	for k := range rs.rms {
+		lo, hi := k*stride, k*stride+geom.Cols
+		rs.rms[k] = interleave.RowMap{Word: rs.word[lo:hi], Bit: rs.bit[lo:hi], Dom: rs.dom[lo:hi]}
 	}
 	nslots := a.Tracker.Words() * rs.bpw
 	rs.keySlot = make([]int32, nslots)
 	rs.keyStamp = make([]int64, nslots)
-	rs.colSlot = make([]int32, rs.cols)
-	rs.colSrc = make([]uint8, rs.cols)
-	// Two guard words: the bit-sliced path extracts at anchor-word
-	// granularity, up to 63 columns past the last real anchor.
-	nw := (rs.cols+63)/64 + 2
-	rs.uarch = make([]uint64, nw)
-	rs.live = make([]uint64, nw)
-	rs.chg = make([]uint64, nw)
 	rs.qs = make([]querySweep, len(queries))
 	for i, q := range queries {
 		qs := &rs.qs[i]
@@ -248,9 +233,8 @@ func (a *Analyzer) newRowSweep(queries []Query, dst []*Series, window interval.C
 		qs.ac = geom.AnchorsPerRow(q.Mode)
 		_, qs.width = q.Mode.Bounds()
 		for _, o := range q.Mode.Offsets() {
-			qs.offs = append(qs.offs, int32(o.DCol))
+			qs.offs = append(qs.offs, int32(o.DRow*stride+o.DCol))
 		}
-		qs.anchors = make([]anchorState, qs.ac)
 		naw := (qs.ac + 63) / 64
 		qs.planeDue = make([]uint64, naw)
 		qs.planeC0 = make([]uint64, naw)
@@ -259,65 +243,69 @@ func (a *Analyzer) newRowSweep(queries []Query, dst []*Series, window interval.C
 	return rs
 }
 
-// sweepRows classifies every fault group of every packable query
-// anchored in rows [rowLo, rowHi), accumulating query i into dst[i].
-func (a *Analyzer) sweepRows(queries []Query, dst []*Series, window interval.Cycle, rowLo, rowHi int) {
-	rs := a.newRowSweep(queries, dst, window)
+// sweepBands classifies every fault group of every query anchored in
+// rows [rowLo, rowHi); every query's mode is h rows tall. Query i
+// accumulates into dst[i].
+func (a *Analyzer) sweepBands(h int, queries []Query, dst []*Series, window interval.Cycle, rowLo, rowHi int) {
+	rs := a.newBandSweep(h, queries, dst, window)
 	for r := rowLo; r < rowHi; r++ {
-		rs.solveRow(r)
+		rs.solveBand(r)
 	}
-	obsPackedRows.Add(rs.rows)
+	obsPackedRows.Add(rs.bands)
 	obsRowsSkipped.Add(rs.skipped)
 	obsMerges.Add(rs.spans)
 	rs.mergeChain.FlushTo(obsMergeChain)
 }
 
-// samePattern reports whether the current row's domains are the
-// previous row's shifted by one constant, so that exactly the same
-// columns share a protection domain and every anchor table still holds.
-// (Every named layout's rows are such shifts of each other; a row whose
-// domains relate to the previous row's any other way rebuilds the
-// tables, which costs time, never correctness.) It then records the
-// current row's domains for the next call.
-func (rs *rowSweep) samePattern() bool {
-	dom := rs.rm.Dom
-	same := rs.prevDom != nil && len(dom) > 0
-	if same {
-		k := dom[0] - rs.prevDom[0]
-		for c, d := range dom {
-			if d-rs.prevDom[c] != k {
+// samePattern reports whether the band's domains are the previous band's
+// shifted by one constant, so that exactly the same bits share a
+// protection domain and every partition class still holds. (Every named
+// layout's rows are such shifts of each other; a band whose domains
+// relate to the previous band's any other way rebuilds the classes,
+// which costs time, never correctness.) It then records the band's
+// domains for the next call.
+func (rs *bandSweep) samePattern() bool {
+	same := rs.havePrev
+	shift := rs.dom[0] - rs.prevDom[0]
+	for k := 0; same && k < len(rs.rms); k++ {
+		prev := rs.prevDom[k*rs.stride:]
+		for c, d := range rs.rms[k].Dom {
+			if d-prev[c] != shift {
 				same = false
 				break
 			}
 		}
 	}
-	rs.prevDom = append(rs.prevDom[:0], dom...)
+	copy(rs.prevDom, rs.dom)
+	rs.havePrev = true
 	return same
 }
 
-// solveRow sweeps one wordline's packed timeline for every query that
-// can count in it.
-func (rs *rowSweep) solveRow(r int) {
+// solveBand sweeps the packed timeline of the band anchored at row r for
+// every query that can count in it.
+func (rs *bandSweep) solveBand(r int) {
 	a := rs.a
-	a.Layout.Row(r, &rs.rm)
-	same := rs.samePattern() // false on a worker's first row
+	for k := range rs.rms {
+		a.Layout.Row(r+k, &rs.rms[k])
+	}
+	same := rs.samePattern() // false on a worker's first band
 	rs.active = rs.active[:0]
 	for i := range rs.qs {
 		q := &rs.qs[i]
 		if !same {
-			q.buildAnchors(&rs.rm)
+			q.buildClasses(rs.dom)
 		}
 		if !q.counted {
 			rs.skipped++
 			continue
 		}
-		q.resetRow()
+		q.resetBand()
 		rs.active = append(rs.active, q)
 	}
 	if len(rs.active) == 0 {
 		return // no query can count here: never packed
 	}
-	rs.rows++
+	rs.bands++
 	rs.buildSlots()
 	p := rs.pk.Pack(rs.segLists, a.TotalCycles)
 	clear(rs.uarch)
@@ -331,15 +319,14 @@ func (rs *rowSweep) solveRow(r int) {
 			if ch.Seg >= 0 {
 				st = rs.stateBuf[rs.segOff[ch.Slot]+ch.Seg]
 			}
-			cols := rs.slotCols[rs.slotOff[ch.Slot]:rs.slotOff[ch.Slot+1]]
-			for _, col := range cols {
-				w, b := col>>6, uint(col&63)
+			for _, pos := range rs.slotPos[rs.slotOff[ch.Slot]:rs.slotOff[ch.Slot+1]] {
+				w, b := pos>>6, uint(pos&63)
 				bit := uint64(1) << b
 				var nu, nl uint64
 				if st.uarch {
 					nu = bit
 				}
-				if st.live>>(rs.colSrc[col]&7)&1 != 0 {
+				if st.live>>(rs.posSrc[pos]&7)&1 != 0 {
 					nl = bit
 				}
 				if rs.uarch[w]&bit == nu && rs.live[w]&bit == nl {
@@ -359,11 +346,7 @@ func (rs *rowSweep) solveRow(r int) {
 		slices.Sort(rs.chgWords)
 		for _, q := range rs.active {
 			q.advance(rs.window, t)
-			if q.uniform {
-				q.classifyWords(rs)
-			} else {
-				q.classifyAnchors(rs)
-			}
+			q.classifyWords(rs)
 		}
 		for _, w := range rs.chgWords {
 			rs.chg[w] = 0
@@ -379,24 +362,26 @@ func (rs *rowSweep) solveRow(r int) {
 	}
 }
 
-// buildSlots resolves the row's columns to tracker byte slots and
-// builds the column<->slot cross references.
-func (rs *rowSweep) buildSlots() {
-	rs.rowSeq++
+// buildSlots resolves the band's positions to tracker byte slots and
+// builds the position<->slot cross references.
+func (rs *bandSweep) buildSlots() {
+	rs.bandSeq++
 	rs.slotByte = rs.slotByte[:0]
 	rs.rawLists = rs.rawLists[:0]
-	for c := 0; c < rs.cols; c++ {
-		word, bit := rs.rm.Word[c], rs.rm.Bit[c]
-		byteIdx := bit >> 3
-		key := int(word)*rs.bpw + int(byteIdx)
-		if rs.keyStamp[key] != rs.rowSeq {
-			rs.keyStamp[key] = rs.rowSeq
-			rs.keySlot[key] = int32(len(rs.slotByte))
-			rs.slotByte = append(rs.slotByte, byteIdx)
-			rs.rawLists = append(rs.rawLists, rs.a.Tracker.Segments(int(word), int(byteIdx)))
+	for k := range rs.rms {
+		for p := k * rs.stride; p < k*rs.stride+rs.cols; p++ {
+			word, bit := rs.word[p], rs.bit[p]
+			byteIdx := bit >> 3
+			key := int(word)*rs.bpw + int(byteIdx)
+			if rs.keyStamp[key] != rs.bandSeq {
+				rs.keyStamp[key] = rs.bandSeq
+				rs.keySlot[key] = int32(len(rs.slotByte))
+				rs.slotByte = append(rs.slotByte, byteIdx)
+				rs.rawLists = append(rs.rawLists, rs.a.Tracker.Segments(int(word), int(byteIdx)))
+			}
+			rs.posSlot[p] = rs.keySlot[key]
+			rs.posSrc[p] = uint8(bit & 7)
 		}
-		rs.colSlot[c] = rs.keySlot[key]
-		rs.colSrc[c] = uint8(bit & 7)
 	}
 	// Filter each timeline down to segments whose state can matter,
 	// resolving the byte state once per segment. Dead segments — and
@@ -432,143 +417,148 @@ func (rs *rowSweep) buildSlots() {
 	for i := 0; i < nslots; i++ {
 		rs.segLists = append(rs.segLists, rs.segBuf[rs.segOff[i]:rs.segOff[i+1]])
 	}
-	// Group columns by slot, preserving ascending column order per slot.
+	// Group positions by slot, preserving ascending position order per
+	// slot.
 	if cap(rs.slotOff) < nslots+1 {
 		rs.slotOff = make([]int32, nslots+1)
 	}
 	rs.slotOff = rs.slotOff[:nslots+1]
 	clear(rs.slotOff)
-	for c := 0; c < rs.cols; c++ {
-		rs.slotOff[rs.colSlot[c]+1]++
+	for k := range rs.rms {
+		for _, s := range rs.posSlot[k*rs.stride : k*rs.stride+rs.cols] {
+			rs.slotOff[s+1]++
+		}
 	}
 	for i := 0; i < nslots; i++ {
 		rs.slotOff[i+1] += rs.slotOff[i]
 	}
-	if cap(rs.slotCols) < rs.cols {
-		rs.slotCols = make([]int32, rs.cols)
+	npos := len(rs.rms) * rs.cols
+	if cap(rs.slotPos) < npos {
+		rs.slotPos = make([]int32, npos)
 	}
-	rs.slotCols = rs.slotCols[:rs.cols]
+	rs.slotPos = rs.slotPos[:npos]
 	rs.slotFill = append(rs.slotFill[:0], rs.slotOff[:nslots]...)
-	for c := 0; c < rs.cols; c++ {
-		s := rs.colSlot[c]
-		rs.slotCols[rs.slotFill[s]] = int32(c)
-		rs.slotFill[s]++
+	for k := range rs.rms {
+		for p := k * rs.stride; p < k*rs.stride+rs.cols; p++ {
+			s := rs.posSlot[p]
+			rs.slotPos[rs.slotFill[s]] = int32(p)
+			rs.slotFill[s]++
+		}
 	}
 }
 
-// buildAnchors precomputes, for every fault group anchored in the row,
-// its region word masks and the scheme's reaction to each region size,
-// and notes whether any group has a region that is not corrected.
-// Interleaved layouts assign domains periodically along the row, so
-// consecutive anchors usually induce the same partition of mode offsets
-// into regions — when the partition repeats, the previous anchor's masks
-// and reaction tables are reused without consulting the scheme again.
-func (q *querySweep) buildAnchors(rm *interleave.RowMap) {
-	q.detRegs = q.detRegs[:0]
-	q.prevDoms = q.prevDoms[:0]
-	q.uniform = true
+// buildClasses groups the band's anchors into partition classes and
+// notes whether any anchor belongs to a class that can count.
+func (q *querySweep) buildClasses(dom []int32) {
+	q.classes = q.classes[:0]
 	q.counted = false
+	cur := -1 // the previous anchor's class
 	for a := 0; a < q.ac; a++ {
-		q.doms = q.doms[:0]
-		for _, o := range q.offs {
-			dom := rm.Dom[a+int(o)]
-			j := 0
-			for ; j < len(q.doms); j++ {
-				if q.doms[j].dom == dom {
-					break
-				}
-			}
-			if j == len(q.doms) {
-				q.doms = append(q.doms, domAcc{dom: dom})
-			}
-			q.doms[j].nbits++
-			q.doms[j].mask |= uint64(1) << o
+		q.partition(dom, a)
+		if cur < 0 || !slices.Equal(q.classes[cur].labels, q.labels) {
+			cur = q.classOf()
 		}
-		// Reactions depend only on the partition shape (region sizes and
-		// masks), not on domain identities.
-		if a > 0 && samePartition(q.doms, q.prevDoms) {
-			prev := q.anchors[a-1]
-			q.anchors[a] = anchorState{dm: prev.dm, um: prev.um, detOff: prev.detOff, nDet: prev.nDet}
-			continue
+		if c := &q.classes[cur]; len(c.detOffs)+len(c.umOffs) > 0 {
+			c.member[a>>6] |= 1 << (a & 63)
+			q.counted = true
 		}
-		if a > 0 {
-			q.uniform = false
-		}
-		var dm, um uint64
-		off := int32(len(q.detRegs))
-		for _, d := range q.doms {
-			switch q.scheme.React(int(d.nbits)) {
-			case ecc.ReactDetected:
-				dm |= d.mask
-				q.detRegs = append(q.detRegs, d.mask)
-			case ecc.ReactUndetected:
-				um |= d.mask
-			}
-		}
-		q.anchors[a] = anchorState{dm: dm, um: um, detOff: off, nDet: int32(len(q.detRegs)) - off}
-		q.counted = q.counted || dm|um != 0
-		q.doms, q.prevDoms = q.prevDoms[:0], q.doms
-	}
-	if q.uniform && q.ac > 0 {
-		q.buildUniformOffsets()
 	}
 }
 
-// buildUniformOffsets flattens the row's shared partition into offset
-// lists for the bit-sliced classifier: bit a of OR-over-detOffs of
-// (uarch >> o) is exactly anyDet of the group anchored at column a.
-func (q *querySweep) buildUniformOffsets() {
-	q.detOffs, q.umOffs = q.detOffs[:0], q.umOffs[:0]
-	q.regStart, q.regOffs = q.regStart[:0], q.regOffs[:0]
-	an0 := q.anchors[0]
-	for m := an0.dm; m != 0; m &= m - 1 {
-		q.detOffs = append(q.detOffs, int32(bits.TrailingZeros64(m)))
-	}
-	for m := an0.um; m != 0; m &= m - 1 {
-		q.umOffs = append(q.umOffs, int32(bits.TrailingZeros64(m)))
-	}
-	for _, reg := range q.detRegs[an0.detOff : an0.detOff+an0.nDet] {
-		q.regStart = append(q.regStart, int32(len(q.regOffs)))
-		for m := reg; m != 0; m &= m - 1 {
-			q.regOffs = append(q.regOffs, int32(bits.TrailingZeros64(m)))
+// partition labels, into q.labels, the region of each mode offset of the
+// group anchored at column a, numbering regions by first appearance.
+func (q *querySweep) partition(dom []int32, a int) {
+	q.domIDs, q.labels = q.domIDs[:0], q.labels[:0]
+	for _, o := range q.offs {
+		d := dom[a+int(o)]
+		r := slices.Index(q.domIDs, d)
+		if r < 0 {
+			r = len(q.domIDs)
+			q.domIDs = append(q.domIDs, d)
 		}
+		q.labels = append(q.labels, int32(r))
 	}
-	q.regStart = append(q.regStart, int32(len(q.regOffs)))
 }
 
-// resetRow clears the query's sweep state for a new row, keeping its
-// anchor tables.
-func (q *querySweep) resetRow() {
+// classOf returns the index of the class of the partition in q.labels,
+// adding the class, with its offset lists under the query's scheme, when
+// it is new. Reactions depend only on region sizes, not on domain
+// identities.
+func (q *querySweep) classOf() int {
+	for i := range q.classes {
+		if slices.Equal(q.classes[i].labels, q.labels) {
+			return i
+		}
+	}
+	c := partClass{labels: slices.Clone(q.labels), member: make([]uint64, len(q.planeDue))}
+	for r := range q.domIDs {
+		var region []int32
+		for j, l := range q.labels {
+			if int(l) == r {
+				region = append(region, q.offs[j])
+			}
+		}
+		switch q.scheme.React(len(region)) {
+		case ecc.ReactDetected:
+			c.detOffs = append(c.detOffs, region...)
+		case ecc.ReactUndetected:
+			c.umOffs = append(c.umOffs, region...)
+		}
+	}
+	q.classes = append(q.classes, c)
+	return len(q.classes) - 1
+}
+
+// planes evaluates the class for the 64 anchors from base: whether a
+// detected region is ACE (d), an undetected region is live (s), and a
+// detected region is both ACE and live (t). A live bit is always
+// uarch-ACE (segStateByte resolves liveness only for uarch-ACE
+// segments), so a detected region is both exactly when one of its bits
+// is live, and t needs no per-region lists.
+func (c *partClass) planes(uarch, live []uint64, base int) (d, s, t uint64) {
+	for _, o := range c.detOffs {
+		d |= extract64(uarch, base+int(o))
+		t |= extract64(live, base+int(o))
+	}
+	for _, o := range c.umOffs {
+		s |= extract64(live, base+int(o))
+	}
+	return d, s, t
+}
+
+// resetBand clears the query's sweep state for a new band, keeping its
+// partition classes.
+func (q *querySweep) resetBand() {
 	q.cnt, q.since = Counters{}, 0
-	if q.uniform {
-		clear(q.planeDue)
-		clear(q.planeC0)
-		clear(q.planeC1)
-		return
-	}
-	for i := range q.anchors {
-		an := &q.anchors[i]
-		an.prevU, an.prevL, an.class = 0, 0, Counters{}
-	}
+	clear(q.planeDue)
+	clear(q.planeC0)
+	clear(q.planeC1)
 }
 
-// classifyWords re-classifies, bit-sliced, every anchor word a changed
-// occupancy word can reach. A change at column c reaches the anchors
-// [c-width+1, c]: those in c's own word, and those in the word before
-// when c sits in the first width-1 columns of its word.
-func (q *querySweep) classifyWords(rs *rowSweep) {
-	naw := len(q.planeDue)
-	low := uint64(1)<<(q.width-1) - 1
-	last := -1
+// classifyWords re-classifies every anchor word a changed occupancy word
+// can reach. A change at column c of any band row reaches the anchors
+// [c-width+1, c], which may span several anchor words for wide modes.
+// The changed words are ascending, so within one band row the reached
+// anchor words ascend too and each is visited once; a word reached from
+// two rows is re-classified twice, which changes nothing.
+func (q *querySweep) classifyWords(rs *bandSweep) {
+	rowWords := rs.stride >> 6
+	top := len(q.planeDue) - 1 // the last anchor word
+	rowBase, done := 0, -1     // first word of the current band row; last anchor word visited from it
 	for _, w32 := range rs.chgWords {
 		w := int(w32)
-		if w > 0 && w-1 > last && w-1 < naw && rs.chg[w]&low != 0 {
-			q.classifyWord(rs, w-1)
-			last = w - 1
+		for w >= rowBase+rowWords {
+			rowBase += rowWords
+			done = -1
 		}
-		if w < naw && w > last {
-			q.classifyWord(rs, w)
-			last = w
+		cw := w - rowBase
+		lo := cw // the anchor word reached from the lowest changed column
+		if cw > 0 {
+			lo = max(cw<<6+bits.TrailingZeros64(rs.chg[w])-q.width+1, 0) >> 6
+		}
+		for wi := max(lo, done+1); wi <= min(cw, top); wi++ {
+			q.classifyWord(rs, wi)
+			done = wi
 		}
 	}
 }
@@ -576,25 +566,23 @@ func (q *querySweep) classifyWords(rs *rowSweep) {
 // classifyWord re-classifies the 64 groups of anchor word wi in one
 // bit-sliced evaluation and moves the class counts by the planes'
 // change.
-func (q *querySweep) classifyWord(rs *rowSweep, wi int) {
+func (q *querySweep) classifyWord(rs *bandSweep, wi int) {
 	base := wi << 6
 	var D, S, T uint64
-	for _, o := range q.detOffs {
-		D |= extract64(rs.uarch, base+int(o))
-	}
-	for _, o := range q.umOffs {
-		S |= extract64(rs.live, base+int(o))
-	}
-	for r := 0; r+1 < len(q.regStart); r++ {
-		var ur, lr uint64
-		for _, o := range q.regOffs[q.regStart[r]:q.regStart[r+1]] {
-			ur |= extract64(rs.uarch, base+int(o))
-			lr |= extract64(rs.live, base+int(o))
+	for i := range q.classes {
+		c := &q.classes[i]
+		m := c.member[wi]
+		if m == 0 {
+			continue
 		}
-		T |= ur & lr
+		d, s, t := c.planes(rs.uarch, rs.live, base)
+		D |= d & m
+		S |= s & m
+		T |= t & m
 	}
-	// Class planes, mirroring classify's switch bit-parallel
-	// (UnACE=0, FalseDUE=1, TrueDUE=2, SDC=3).
+	// Class planes (UnACE=0, FalseDUE=1, TrueDUE=2, SDC=3), from whether
+	// a group has a detected ACE region (D), an undetected live region
+	// (S), and a detected region that is both ACE and live (T).
 	var sdc, td, fd uint64
 	if rs.a.DetectionPreemptsSDC {
 		td = D & (T | S)
@@ -605,49 +593,11 @@ func (q *querySweep) classifyWord(rs *rowSweep, wi int) {
 		td = T &^ S
 		fd = D &^ (T | S)
 	}
-	valid := ^uint64(0) // the anchors of word wi that exist
-	if n := q.ac - base; n < 64 {
-		valid = uint64(1)<<n - 1
-	}
-	due := D & valid
-	c0 := (fd | sdc) & valid
-	c1 := (td | sdc) & valid
+	c0, c1 := fd|sdc, td|sdc
 	p0, p1, pd := q.planeC0[wi], q.planeC1[wi], q.planeDue[wi]
-	if c0 != p0 || c1 != p1 || due != pd {
-		q.cnt.move(planeCounts(p0, p1, pd), planeCounts(c0, c1, due))
-		q.planeC0[wi], q.planeC1[wi], q.planeDue[wi] = c0, c1, due
-	}
-}
-
-// classifyAnchors re-classifies, one anchor at a time, the anchors a
-// changed occupancy word can reach: per word, from width-1 columns
-// before its lowest changed bit through its highest changed bit.
-// Anchors in that range whose masked inputs did not change are skipped.
-func (q *querySweep) classifyAnchors(rs *rowSweep) {
-	next := 0 // first anchor not yet visited at this breakpoint
-	for _, w32 := range rs.chgWords {
-		m := rs.chg[w32]
-		base := int(w32) << 6
-		lo := max(base+bits.TrailingZeros64(m)-q.width+1, next)
-		hi := min(base+63-bits.LeadingZeros64(m), q.ac-1)
-		for ai := lo; ai <= hi; ai++ {
-			an := &q.anchors[ai]
-			mask := an.dm | an.um
-			if mask == 0 {
-				continue // every region corrected: never anything to count
-			}
-			u := extract64(rs.uarch, ai) & mask
-			l := extract64(rs.live, ai) & mask
-			if u == an.prevU && l == an.prevL {
-				continue // inputs under the group's masks are unchanged
-			}
-			an.prevU, an.prevL = u, l
-			if c := q.classify(rs, an, u, l); c != an.class {
-				q.cnt.move(an.class, c)
-				an.class = c
-			}
-		}
-		next = max(next, hi+1)
+	if c0 != p0 || c1 != p1 || D != pd {
+		q.cnt.move(planeCounts(p0, p1, pd), planeCounts(c0, c1, D))
+		q.planeC0[wi], q.planeC1[wi], q.planeDue[wi] = c0, c1, D
 	}
 }
 
@@ -658,59 +608,4 @@ func (q *querySweep) advance(window, t interval.Cycle) {
 		addCounters(q.s, window, q.cnt, q.since, t)
 	}
 	q.since = t
-}
-
-// samePartition reports whether two offset partitions have identical
-// region masks and sizes (domain identities excluded).
-func samePartition(a, b []domAcc) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i].mask != b[i].mask || a[i].nbits != b[i].nbits {
-			return false
-		}
-	}
-	return true
-}
-
-// classify resolves the current classification of the group an from its
-// masked occupancy extracts — the word-level equivalent of the scalar
-// sweep's per-region bit walk — as its class counts. u and l carry only
-// bits under dm|um (the caller masks them so unchanged extracts can be
-// skipped without a spurious re-classification).
-func (q *querySweep) classify(rs *rowSweep, an *anchorState, u, l uint64) Counters {
-	dm, um := an.dm, an.um
-	anyDet := u&dm != 0
-	if !anyDet && um == 0 {
-		return Counters{}
-	}
-	anySDC := l&um != 0
-	anyTrue := false
-	if anyDet && l&dm != 0 {
-		for _, reg := range q.detRegs[an.detOff : an.detOff+an.nDet] {
-			if u&reg != 0 && l&reg != 0 {
-				anyTrue = true
-				break
-			}
-		}
-	}
-	cls := ClassUnACE
-	if rs.a.DetectionPreemptsSDC && anyDet {
-		if anyTrue || anySDC {
-			cls = ClassTrueDUE
-		} else {
-			cls = ClassFalseDUE
-		}
-	} else {
-		switch {
-		case anySDC:
-			cls = ClassSDC
-		case anyTrue:
-			cls = ClassTrueDUE
-		case anyDet:
-			cls = ClassFalseDUE
-		}
-	}
-	return classCounts(cls, anyDet)
 }

@@ -1,10 +1,11 @@
 package core
 
-// Scalar-vs-packed solver equivalence harness. The word-packed solver
-// (packed.go) must produce results bit-identical (==, not approximately)
-// to the scalar per-bit sweep for every scheme x fault-mode combination,
-// including geometries whose row widths straddle 64-bit word boundaries.
-// These tests are the proof the packed fast path leans on.
+// Packed-vs-oracle solver equivalence harness. The word-packed band
+// sweep (packed.go) must produce results bit-identical (==, not
+// approximately) to the per-group scalar oracle (oracle_test.go) for
+// every scheme x fault-mode combination, including geometries whose row
+// widths straddle 64-bit word boundaries, multi-row modes, and modes
+// wider than a word. These tests are the proof the solver leans on.
 
 import (
 	"fmt"
@@ -93,34 +94,31 @@ func randomTimelineAnalyzer(r *rand.Rand, lay *interleave.Layout, wordVersions b
 	}
 }
 
-// solveBoth runs the same windowed analysis through the packed and the
-// scalar solver. Error outcomes must agree; on success both series are
+// solveBoth runs the same windowed analysis through the packed solver
+// and the oracle. Error outcomes must agree; on success both series are
 // returned.
-func solveBoth(t *testing.T, a *Analyzer, scheme ecc.Scheme, mode bitgeom.FaultMode, window uint64) (packed, scalar *Series, ok bool) {
+func solveBoth(t *testing.T, a *Analyzer, scheme ecc.Scheme, mode bitgeom.FaultMode, window uint64) (packed, oracle *Series, ok bool) {
 	t.Helper()
-	a.ScalarSolve = false
 	packed, errP := a.AnalyzeWindowed(scheme, mode, window)
-	a.ScalarSolve = true
-	scalar, errS := a.AnalyzeWindowed(scheme, mode, window)
-	a.ScalarSolve = false
-	if (errP == nil) != (errS == nil) {
-		t.Fatalf("scheme %s mode %s: packed err %v, scalar err %v", scheme.Name(), mode.Name(), errP, errS)
+	oracle, errO := a.oracleSolve(scheme, mode, window)
+	if (errP == nil) != (errO == nil) {
+		t.Fatalf("scheme %s mode %s: packed err %v, oracle err %v", scheme.Name(), mode.Name(), errP, errO)
 	}
-	return packed, scalar, errP == nil
+	return packed, oracle, errP == nil
 }
 
-func requireSeriesIdentical(t *testing.T, label string, packed, scalar *Series) {
+func requireSeriesIdentical(t *testing.T, label string, got, want *Series) {
 	t.Helper()
-	if packed.Total != scalar.Total {
-		t.Errorf("%s: totals differ\npacked %+v\nscalar %+v", label, packed.Total, scalar.Total)
+	if got.Total != want.Total {
+		t.Errorf("%s: totals differ\n got %+v\nwant %+v", label, got.Total, want.Total)
 	}
-	if len(packed.Windows) != len(scalar.Windows) {
-		t.Fatalf("%s: window counts differ: %d vs %d", label, len(packed.Windows), len(scalar.Windows))
+	if len(got.Windows) != len(want.Windows) {
+		t.Fatalf("%s: window counts differ: %d vs %d", label, len(got.Windows), len(want.Windows))
 	}
-	for i := range packed.Windows {
-		if packed.Windows[i] != scalar.Windows[i] {
-			t.Errorf("%s: window %d differs\npacked %+v\nscalar %+v",
-				label, i, packed.Windows[i], scalar.Windows[i])
+	for i := range got.Windows {
+		if got.Windows[i] != want.Windows[i] {
+			t.Errorf("%s: window %d differs\n got %+v\nwant %+v",
+				label, i, got.Windows[i], want.Windows[i])
 		}
 	}
 }
@@ -131,10 +129,10 @@ func equivSchemes() []ecc.Scheme {
 	return []ecc.Scheme{ecc.None{}, ecc.Parity{}, ecc.SECDED{}, ecc.DECTED{}, ecc.CRC{Width: 2}}
 }
 
-// equivModes spans packable Mx1 widths (including the full 64-bit word),
-// a sparse single-row custom pattern, and modes the packed solver must
-// decline (multi-row, wider than a word) so the dispatch fallback is
-// exercised through the same assertions.
+// equivModes spans Mx1 widths up to the full 64-bit word, one past it,
+// and one (130) whose anchors reach across more than two occupancy
+// words; a sparse single-row custom pattern; and multi-row modes: two
+// and three rows tall, and a non-rectangular diagonal pair.
 func equivModes() []bitgeom.FaultMode {
 	return []bitgeom.FaultMode{
 		bitgeom.Mx1(1),
@@ -147,23 +145,23 @@ func equivModes() []bitgeom.FaultMode {
 		bitgeom.Custom("gap3", []bitgeom.Offset{{DRow: 0, DCol: 0}, {DRow: 0, DCol: 2}}),
 		bitgeom.Rect(2, 2),
 		bitgeom.Mx1(65),
+		bitgeom.Rect(3, 2),
+		bitgeom.Custom("diag", []bitgeom.Offset{{DRow: 0, DCol: 0}, {DRow: 1, DCol: 1}}),
+		bitgeom.Mx1(130),
 	}
 }
 
-// TestSolverEquivalence is the randomized scalar-vs-packed matrix:
+// equivWidths are the row widths of the boundary layouts: one bit short
+// of a word, exactly one word, one bit past a word (straddling
+// extraction), two words, and wide enough for Mx1(130).
+var equivWidths = []struct{ cols, factor int }{{63, 1}, {64, 2}, {65, 1}, {128, 4}, {200, 2}}
+
+// TestSolverEquivalence is the randomized packed-vs-oracle matrix:
 // word-boundary row widths x every scheme x every fault mode x both
 // preemption rules, each on a fresh seeded random timeline, asserting
 // ==-identical Series (Total and every window Result).
 func TestSolverEquivalence(t *testing.T) {
-	widths := []struct {
-		cols, factor int
-	}{
-		{63, 1}, // one bit short of a word
-		{64, 2}, // exactly one word
-		{65, 1}, // one bit past a word (straddling extraction)
-		{128, 4},
-	}
-	for _, wc := range widths {
+	for _, wc := range equivWidths {
 		t.Run(fmt.Sprintf("cols=%d", wc.cols), func(t *testing.T) {
 			for si, scheme := range equivSchemes() {
 				for mi, mode := range equivModes() {
@@ -195,11 +193,11 @@ func TestSolverEquivalenceWindowed(t *testing.T) {
 			r := rand.New(rand.NewSource(seed))
 			lay := boundaryLayout(t, 4, 65, 1)
 			a := randomTimelineAnalyzer(r, lay, false, 64, seed%2 == 0)
-			packed, scalar, ok := solveBoth(t, a, ecc.Parity{}, bitgeom.Mx1(3), window)
+			packed, oracle, ok := solveBoth(t, a, ecc.Parity{}, bitgeom.Mx1(3), window)
 			if !ok {
 				t.Fatalf("window %d seed %d: analysis failed", window, seed)
 			}
-			requireSeriesIdentical(t, fmt.Sprintf("window=%d seed=%d", window, seed), packed, scalar)
+			requireSeriesIdentical(t, fmt.Sprintf("window=%d seed=%d", window, seed), packed, oracle)
 		}
 	}
 }
@@ -239,8 +237,7 @@ func standardLayouts(t testing.TB) []standardLayout {
 			return l, false, err
 		},
 		// Aperiodic domain assignment: anchors induce varying offset
-		// partitions, forcing the packed solver's per-anchor fallback
-		// (the bit-sliced uniform-row path declines the row).
+		// partitions, so a band holds many partition classes.
 		func() (*interleave.Layout, bool, error) {
 			l, err := interleave.NewCustom("aperiodic", bitgeom.Geometry{Rows: 4, Cols: 32}, 4, 32, 5, 1,
 				func(p bitgeom.BitPos) (interleave.WordBit, int) {
@@ -271,21 +268,22 @@ func TestSolverEquivalenceStandardLayouts(t *testing.T) {
 					seed := int64(7777*li + 100*si + mi)
 					r := rand.New(rand.NewSource(seed))
 					a := randomTimelineAnalyzer(r, lay, sl.wordVersions, 48, li%2 == 0)
-					packed, scalar, ok := solveBoth(t, a, scheme, mode, 11)
+					packed, oracle, ok := solveBoth(t, a, scheme, mode, 11)
 					if !ok {
 						continue
 					}
 					label := fmt.Sprintf("%s scheme=%s mode=%s seed=%d", lay.Name(), scheme.Name(), mode.Name(), seed)
-					requireSeriesIdentical(t, label, packed, scalar)
+					requireSeriesIdentical(t, label, packed, oracle)
 				}
 			}
 		})
 	}
 }
 
-// TestPackedPathTaken pins the dispatch: an eligible mode must actually
-// run through the packed solver (not silently fall back to scalar, which
-// would make every equivalence assertion vacuous).
+// TestPackedPathTaken pins that fault modes taller than one row or wider
+// than a word run through the packed band sweep: each sweeps one band
+// per anchor row (the equivalence assertions would otherwise compare
+// nothing new).
 func TestPackedPathTaken(t *testing.T) {
 	obs.Enable()
 	defer func() {
@@ -293,53 +291,33 @@ func TestPackedPathTaken(t *testing.T) {
 		obs.Reset()
 	}()
 	r := rand.New(rand.NewSource(1))
-	a := randomTimelineAnalyzer(r, boundaryLayout(t, 4, 64, 2), false, 32, false)
-
-	before := obs.NewCounter("core.packed_rows").Value()
-	if _, err := a.Analyze(ecc.Parity{}, bitgeom.Mx1(2)); err != nil {
-		t.Fatal(err)
-	}
-	if after := obs.NewCounter("core.packed_rows").Value(); after == before {
-		t.Fatal("eligible mode did not take the packed path")
-	}
-
-	before = obs.NewCounter("core.packed_rows").Value()
-	a.ScalarSolve = true
-	if _, err := a.Analyze(ecc.Parity{}, bitgeom.Mx1(2)); err != nil {
-		t.Fatal(err)
-	}
-	if after := obs.NewCounter("core.packed_rows").Value(); after != before {
-		t.Fatal("ScalarSolve analyzer still took the packed path")
-	}
-	a.ScalarSolve = false
-
-	SetScalarSolve(true)
-	defer SetScalarSolve(false)
-	before = obs.NewCounter("core.packed_rows").Value()
-	if _, err := a.Analyze(ecc.Parity{}, bitgeom.Mx1(2)); err != nil {
-		t.Fatal(err)
-	}
-	if after := obs.NewCounter("core.packed_rows").Value(); after != before {
-		t.Fatal("-scalar-solve escape hatch still took the packed path")
+	lay := boundaryLayout(t, 4, 128, 2)
+	a := randomTimelineAnalyzer(r, lay, false, 32, false)
+	bands := obs.NewCounter("core.packed_rows")
+	for _, mode := range []bitgeom.FaultMode{bitgeom.Rect(2, 2), bitgeom.Rect(2, 4), bitgeom.Mx1(65)} {
+		before := bands.Value()
+		if _, err := a.Analyze(ecc.Parity{}, mode); err != nil {
+			t.Fatal(err)
+		}
+		h, _ := mode.Bounds()
+		if n, want := bands.Value()-before, uint64(lay.Geom.Rows-h+1); n != want {
+			t.Errorf("%s: core.packed_rows grew by %d, want %d bands", mode.Name(), n, want)
+		}
 	}
 }
 
-// TestSolverConcurrentPaths solves the same run concurrently from both
-// solver paths (sharing one tracker, graph, and layout, each analysis
-// itself internally sharded) — the race-detector leg of the equivalence
-// harness. SEC-DED 2x1 over x2 interleaving is all-corrected (every
-// region is one corrected bit), so its packed leg skips every row; a
-// batch of counted queries, which must come out non-zero, keeps the
-// packed sweep itself under the detector.
+// TestSolverConcurrentPaths solves the same run concurrently from many
+// goroutines (sharing one tracker, graph, and layout, each analysis
+// itself internally sharded) and compares every result with one serial
+// oracle solve — the race-detector leg of the equivalence harness.
+// SEC-DED 2x1 over x2 interleaving is all-corrected (every region is one
+// corrected bit), so it skips every band; the counted queries, which
+// must come out non-zero, keep the band sweep itself under the detector,
+// including a multi-row mode.
 func TestSolverConcurrentPaths(t *testing.T) {
 	r := rand.New(rand.NewSource(99))
 	lay := boundaryLayout(t, 8, 64, 2)
-	base := randomTimelineAnalyzer(r, lay, false, 96, false)
-	base.Parallelism = 4
-
-	packedA := *base
-	scalarA := *base
-	scalarA.ScalarSolve = true
+	a := randomTimelineAnalyzer(r, lay, false, 96, false)
 
 	batch := []Query{
 		{ecc.SECDED{}, bitgeom.Mx1(2)},
@@ -347,10 +325,16 @@ func TestSolverConcurrentPaths(t *testing.T) {
 		{ecc.None{}, bitgeom.Mx1(3)},
 		{ecc.SECDED{}, bitgeom.Mx1(4)},
 		{ecc.DECTED{}, bitgeom.Mx1(8)},
+		{ecc.Parity{}, bitgeom.Rect(2, 2)},
 	}
-	want, err := scalarA.AnalyzeMany(17, batch)
-	if err != nil {
-		t.Fatal(err)
+	a.Parallelism = 1
+	want := make([]*Series, len(batch))
+	for i, q := range batch {
+		s, err := a.oracleSolve(q.Scheme, q.Mode, 17)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[i] = s
 	}
 	if want[0].Total.Counters != (Counters{}) {
 		t.Fatalf("SEC-DED 2x1 over x2 counted %+v, want all-corrected zero", want[0].Total.Counters)
@@ -361,18 +345,15 @@ func TestSolverConcurrentPaths(t *testing.T) {
 		}
 	}
 
+	a.Parallelism = 4
 	var wg sync.WaitGroup
 	results := make([][]*Series, 8)
 	errs := make([]error, 8)
 	for i := range results {
-		a := &packedA
-		if i%2 == 1 {
-			a = &scalarA
-		}
 		wg.Add(1)
-		go func(i int, a *Analyzer) {
+		go func(i int) {
 			defer wg.Done()
-			if i%4 == 0 {
+			if i%2 == 1 {
 				// The all-corrected query alone, as before batching.
 				var s *Series
 				s, errs[i] = a.AnalyzeWindowed(batch[0].Scheme, batch[0].Mode, 17)
@@ -380,7 +361,7 @@ func TestSolverConcurrentPaths(t *testing.T) {
 				return
 			}
 			results[i], errs[i] = a.AnalyzeMany(17, batch)
-		}(i, a)
+		}(i)
 	}
 	wg.Wait()
 	for i := range results {

@@ -15,24 +15,36 @@ import (
 
 // Memory is the simulated physical memory.
 type Memory struct {
-	data    []byte
-	version []dataflow.VersionID // nil when unversioned
+	data []byte
+	// version holds the byte versions in pages of verPageBytes bytes of
+	// memory, a page allocated by the first store of a non-ground version
+	// into it; a nil page reads as ground. Programs touch a few pages of
+	// a memory of megabytes, so a flat array would be almost all ground.
+	// version is nil when unversioned.
+	version []*verPage
 }
+
+const (
+	verPageShift = 12
+	verPageBytes = 1 << verPageShift
+)
+
+// verPage holds the versions of verPageBytes bytes of memory.
+type verPage [verPageBytes]dataflow.VersionID
 
 // New returns a zeroed memory of size bytes. All bytes start at the ground
 // version (0).
 func New(size int) *Memory {
 	return &Memory{
 		data:    make([]byte, size),
-		version: make([]dataflow.VersionID, size),
+		version: make([]*verPage, (size+verPageBytes-1)>>verPageShift),
 	}
 }
 
 // NewUnversioned returns a zeroed memory of size bytes that keeps no
 // per-byte versions: every byte reads as the ground version (0) and
 // stores drop the versions they carry. It backs runs without a dataflow
-// graph, where every version is ground anyway, at a fifth of New's
-// footprint.
+// graph, where every version is ground anyway.
 func NewUnversioned(size int) *Memory {
 	return &Memory{data: make([]byte, size)}
 }
@@ -62,7 +74,7 @@ func (m *Memory) StoreByte(addr uint32, v byte, ver dataflow.VersionID) error {
 	}
 	m.data[addr] = v
 	if m.version != nil {
-		m.version[addr] = ver
+		m.setVersion(addr, ver)
 	}
 	return nil
 }
@@ -75,7 +87,9 @@ func (m *Memory) LoadWord(addr uint32) (uint32, [4]dataflow.VersionID, error) {
 		return 0, vers, err
 	}
 	if m.version != nil {
-		copy(vers[:], m.version[addr:addr+4])
+		for i := range vers {
+			vers[i] = m.VersionAt(addr + uint32(i))
+		}
 	}
 	return binary.LittleEndian.Uint32(m.data[addr : addr+4]), vers, nil
 }
@@ -88,18 +102,38 @@ func (m *Memory) StoreWord(addr uint32, v uint32, vers [4]dataflow.VersionID) er
 	}
 	binary.LittleEndian.PutUint32(m.data[addr:addr+4], v)
 	if m.version != nil {
-		copy(m.version[addr:addr+4], vers[:])
+		for i, ver := range vers {
+			m.setVersion(addr+uint32(i), ver)
+		}
 	}
 	return nil
 }
 
 // VersionAt returns the version of the byte at addr without bounds checks
-// beyond the slice's own; it is used by caches when filling lines.
+// beyond the page table's own; it is used by caches when filling lines.
 func (m *Memory) VersionAt(addr uint32) dataflow.VersionID {
 	if m.version == nil {
 		return 0
 	}
-	return m.version[addr]
+	p := m.version[addr>>verPageShift]
+	if p == nil {
+		return 0
+	}
+	return p[addr&(verPageBytes-1)]
+}
+
+// setVersion sets the version of the byte at addr in a versioned memory,
+// allocating its page unless the version is ground.
+func (m *Memory) setVersion(addr uint32, ver dataflow.VersionID) {
+	p := m.version[addr>>verPageShift]
+	if p == nil {
+		if ver == 0 {
+			return
+		}
+		p = new(verPage)
+		m.version[addr>>verPageShift] = p
+	}
+	p[addr&(verPageBytes-1)] = ver
 }
 
 // ByteAt returns the value of the byte at addr.
@@ -121,11 +155,11 @@ func (m *Memory) SetInput(g *dataflow.Graph, addr uint32, data []byte) error {
 		return nil
 	}
 	for i := range data {
+		var ver dataflow.VersionID
 		if g != nil {
-			m.version[addr+uint32(i)] = g.New(dataflow.TransferNone, 0)
-		} else {
-			m.version[addr+uint32(i)] = 0
+			ver = g.New(dataflow.TransferNone, 0)
 		}
+		m.setVersion(addr+uint32(i), ver)
 	}
 	return nil
 }

@@ -1,6 +1,9 @@
 package mem
 
 import (
+	"math/rand"
+	"runtime"
+	"slices"
 	"testing"
 
 	"mbavf/internal/dataflow"
@@ -142,5 +145,88 @@ func TestUnversionedMemoryIsGround(t *testing.T) {
 	}
 	if err := m.SetInput(dataflow.NewGraph(), 0, []byte{1}); err == nil {
 		t.Error("dataflow input into unversioned memory should fail")
+	}
+}
+
+// TestVersionPagesMatchFlat drives a versioned memory and a flat
+// per-byte version array with the same random stores, including ground
+// stores into untouched pages and words straddling a page boundary, and
+// checks every version after each step.
+func TestVersionPagesMatchFlat(t *testing.T) {
+	const size = 3*verPageBytes + 8 // a partial last page
+	m := New(size)
+	flat := make([]dataflow.VersionID, size)
+	rng := rand.New(rand.NewSource(1))
+	ver := func() dataflow.VersionID {
+		if rng.Intn(3) == 0 {
+			return 0
+		}
+		return dataflow.VersionID(rng.Intn(1000) + 1)
+	}
+	addr := func(n int) uint32 {
+		if rng.Intn(4) == 0 { // near a page boundary
+			b := verPageBytes * (1 + rng.Intn(size/verPageBytes))
+			return uint32(min(b-rng.Intn(n), size-n))
+		}
+		return uint32(rng.Intn(size - n + 1))
+	}
+	for step := 0; step < 2000; step++ {
+		switch rng.Intn(3) {
+		case 0:
+			a, v := addr(1), ver()
+			if err := m.StoreByte(a, 1, v); err != nil {
+				t.Fatal(err)
+			}
+			flat[a] = v
+		case 1:
+			a := addr(4)
+			vers := [4]dataflow.VersionID{ver(), ver(), ver(), ver()}
+			if err := m.StoreWord(a, 1, vers); err != nil {
+				t.Fatal(err)
+			}
+			copy(flat[a:], vers[:])
+		case 2:
+			a := addr(4)
+			_, vers, err := m.LoadWord(a)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want := [4]dataflow.VersionID(flat[a : a+4]); vers != want {
+				t.Fatalf("step %d: LoadWord(%d) versions = %v, want %v", step, a, vers, want)
+			}
+		}
+	}
+	for a := range flat {
+		if got := m.VersionAt(uint32(a)); got != flat[a] {
+			t.Fatalf("VersionAt(%d) = %d, want %d", a, got, flat[a])
+		}
+	}
+}
+
+// TestVersionPagesAllocatedOnDemand checks that a versioned memory
+// allocates version storage only for pages holding a non-ground version.
+func TestVersionPagesAllocatedOnDemand(t *testing.T) {
+	const size = 1 << 22
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	m := New(size)
+	runtime.ReadMemStats(&after)
+	if got := after.TotalAlloc - before.TotalAlloc; got > size+size/64 {
+		t.Errorf("New(%d) allocates %d bytes; want the data plus a page table", size, got)
+	}
+	if err := m.StoreWord(verPageBytes-2, 7, [4]dataflow.VersionID{0, 0, 3, 4}); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.SetInput(nil, 5*verPageBytes, []byte{1, 2}); err != nil {
+		t.Fatal(err)
+	}
+	var pages []int
+	for i, p := range m.version {
+		if p != nil {
+			pages = append(pages, i)
+		}
+	}
+	if !slices.Equal(pages, []int{1}) {
+		t.Errorf("allocated version pages %v, want [1]: only the page of the non-ground versions", pages)
 	}
 }

@@ -250,6 +250,27 @@ func TestRoutesAndErrors(t *testing.T) {
 	}
 }
 
+// TestGeometryMisfitIsClientError pins the query errors only the
+// structure's geometry decides — an interleaving factor that does not
+// divide it, and a fault mode wider than its wordlines — as 400 on every
+// query route, not 500. Both are found after the run is acquired.
+func TestGeometryMisfitIsClientError(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	for _, url := range []string{
+		"/api/v1/avf?workload=vecadd&structure=l1&scheme=parity&style=way-physical&factor=8&mode=2",
+		"/api/v1/avf?workload=vecadd&structure=l1&scheme=parity&style=way-physical&factor=2&mode=5000",
+		"/api/v1/ser?workload=vecadd&structure=l1&scheme=parity&style=way-physical&factor=8",
+		"/api/v1/policy?workload=vecadd&structure=l1&policy=parity&style=way-physical&factor=8&mode=2",
+		"/api/v1/policy?workload=vecadd&structure=l1&policy=parity&style=way-physical&factor=2&mode=5000",
+	} {
+		var apiErr apiError
+		getJSON(t, ts.URL+url, http.StatusBadRequest, &apiErr)
+		if apiErr.Error == "" {
+			t.Errorf("%s: empty error body", url)
+		}
+	}
+}
+
 // TestSERIgnoresMode pins the SER route's cache key: the roll-up covers
 // every Table III mode, so requests that differ only in mode (absent,
 // in range, negative) cost one roll-up, and the rest are result-cache

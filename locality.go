@@ -27,7 +27,7 @@ func localityOf(a *core.Analyzer, modeBits int) (ACELocality, error) {
 // L1ACELocality measures ACE locality of Mx1 fault groups in compute unit
 // 0's L1 data array under the given interleaving layout.
 func (r *Run) L1ACELocality(il Interleaving, modeBits int) (ACELocality, error) {
-	a, err := r.analyzerFor(L1, il)
+	a, err := r.analyzerFor(L1, il, modeBits)
 	if err != nil {
 		return ACELocality{}, err
 	}
@@ -37,7 +37,7 @@ func (r *Run) L1ACELocality(il Interleaving, modeBits int) (ACELocality, error) 
 // VGPRACELocality measures ACE locality of Mx1 fault groups in the vector
 // register file under the given interleaving layout.
 func (r *Run) VGPRACELocality(il Interleaving, modeBits int) (ACELocality, error) {
-	a, err := r.analyzerFor(VGPR, il)
+	a, err := r.analyzerFor(VGPR, il, modeBits)
 	if err != nil {
 		return ACELocality{}, err
 	}

@@ -76,7 +76,7 @@ func (r *Run) PolicyAVF(st Structure, policyName string, il Interleaving, modeBi
 	if err != nil {
 		return PolicyOutcome{}, badPolicyErr(err)
 	}
-	a, err := r.analyzerFor(st, il)
+	a, err := r.analyzerFor(st, il, modeBits)
 	if err != nil {
 		return PolicyOutcome{}, err
 	}

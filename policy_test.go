@@ -4,8 +4,6 @@ import (
 	"errors"
 	"sync"
 	"testing"
-
-	"mbavf/internal/core"
 )
 
 // vecaddRun caches the instrumented vecadd run (the fastest bundled
@@ -51,7 +49,8 @@ func structILs() []struct {
 // with the scrub interval at infinity and report-on-detect reporting,
 // the degenerate policies must reproduce the existing parity/SEC-DED
 // DUE/SDC numbers bit-identically (==) for every structure and every
-// Table III fault mode, under both the packed and scalar solver paths.
+// Table III fault mode. The same points are pinned to the per-group
+// oracle in internal/core (TestRealWorkloadOracle).
 func TestPolicyLimitEquivalence(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulates a workload; skipped in -short (the -race CI leg)")
@@ -64,38 +63,34 @@ func TestPolicyLimitEquivalence(t *testing.T) {
 		{"parity", Parity},
 		{"sec-ded", SECDED},
 	}
-	for _, solver := range []string{"packed", "scalar"} {
-		t.Run(solver, func(t *testing.T) {
-			core.SetScalarSolve(solver == "scalar")
-			defer core.SetScalarSolve(false)
-			for _, si := range structILs() {
-				for mode := 1; mode <= 8; mode++ {
-					for _, d := range degenerate {
-						want, err := r.AVF(si.st, d.scheme, si.il, mode)
-						if err != nil {
-							t.Fatalf("AVF(%s,%s,%d): %v", si.st, d.scheme, mode, err)
-						}
-						got, err := r.PolicyAVF(si.st, d.policy, si.il, mode, hugeScrub)
-						if err != nil {
-							t.Fatalf("PolicyAVF(%s,%s,%d): %v", si.st, d.policy, mode, err)
-						}
-						if got.AVF != want {
-							t.Errorf("%s/%s/%s mode %d: policy AVF = %+v, want bit-identical %+v",
-								solver, si.st, d.policy, mode, got.AVF, want)
-						}
-						if got.Baseline != want {
-							t.Errorf("%s/%s/%s mode %d: baseline = %+v, want %+v",
-								solver, si.st, d.policy, mode, got.Baseline, want)
-						}
-						if got.DeltaDUE != 0 || got.DeltaSDC != 0 || got.AccumP != 0 || got.Escalated {
-							t.Errorf("%s/%s/%s mode %d: degenerate policy must have zero deltas: %+v",
-								solver, si.st, d.policy, mode, got)
-						}
+	t.Run("packed", func(t *testing.T) {
+		for _, si := range structILs() {
+			for mode := 1; mode <= 8; mode++ {
+				for _, d := range degenerate {
+					want, err := r.AVF(si.st, d.scheme, si.il, mode)
+					if err != nil {
+						t.Fatalf("AVF(%s,%s,%d): %v", si.st, d.scheme, mode, err)
+					}
+					got, err := r.PolicyAVF(si.st, d.policy, si.il, mode, hugeScrub)
+					if err != nil {
+						t.Fatalf("PolicyAVF(%s,%s,%d): %v", si.st, d.policy, mode, err)
+					}
+					if got.AVF != want {
+						t.Errorf("%s/%s mode %d: policy AVF = %+v, want bit-identical %+v",
+							si.st, d.policy, mode, got.AVF, want)
+					}
+					if got.Baseline != want {
+						t.Errorf("%s/%s mode %d: baseline = %+v, want %+v",
+							si.st, d.policy, mode, got.Baseline, want)
+					}
+					if got.DeltaDUE != 0 || got.DeltaSDC != 0 || got.AccumP != 0 || got.Escalated {
+						t.Errorf("%s/%s mode %d: degenerate policy must have zero deltas: %+v",
+							si.st, d.policy, mode, got)
 					}
 				}
 			}
-		})
-	}
+		}
+	})
 }
 
 // TestPolicyReportOnUse pins the delayed-reporting discipline against

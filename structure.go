@@ -15,7 +15,8 @@ import (
 // ErrBadOption marks a request that is well-formed Go but semantically
 // invalid: an unknown structure or scheme, an interleaving style that the
 // structure does not support, a non-positive interleaving factor or fault
-// mode, or a negative experiment option. Callers (in particular the HTTP
+// mode, a factor or fault mode the structure's geometry cannot take, or a
+// negative experiment option. Callers (in particular the HTTP
 // serving layer) distinguish it from infrastructure failures with
 // errors.Is and map it to a client error.
 var ErrBadOption = errors.New("mbavf: bad option")
@@ -121,7 +122,9 @@ func (r *Run) tracker(st Structure) (*lifetime.Tracker, error) {
 // analyzerFor builds the MB-AVF analyzer of one structure under one
 // interleaving layout — the single construction path shared by the
 // unified API, the legacy per-structure methods, and the windowed series.
-func (r *Run) analyzerFor(st Structure, il Interleaving) (*core.Analyzer, error) {
+// A layout the structure's geometry cannot take (a factor that does not
+// divide it) and an Mx1 mode wider than its wordlines are bad options.
+func (r *Run) analyzerFor(st Structure, il Interleaving, modeBits int) (*core.Analyzer, error) {
 	var lay *interleave.Layout
 	var preempt, wordVersions bool
 	var err error
@@ -137,7 +140,13 @@ func (r *Run) analyzerFor(st Structure, il Interleaving) (*core.Analyzer, error)
 		return nil, fmt.Errorf("%w: unknown structure %q (have l1, l2, vgpr)", ErrBadOption, st)
 	}
 	if err != nil {
+		if !errors.Is(err, ErrBadOption) {
+			err = fmt.Errorf("%w: %v", ErrBadOption, err)
+		}
 		return nil, err
+	}
+	if geom := lay.Geom; modeBits > geom.Cols {
+		return nil, fmt.Errorf("%w: fault mode %dx1 does not fit the %s geometry %dx%d", ErrBadOption, modeBits, st, geom.Rows, geom.Cols)
 	}
 	// The layout is validated before the (possibly lazily decoded)
 	// measurements are touched, so malformed queries against
@@ -170,7 +179,7 @@ func (r *Run) AVF(st Structure, scheme Scheme, il Interleaving, modeBits int) (A
 	if err := validateQuery(il, modeBits); err != nil {
 		return AVF{}, err
 	}
-	a, err := r.analyzerFor(st, il)
+	a, err := r.analyzerFor(st, il, modeBits)
 	if err != nil {
 		return AVF{}, err
 	}
@@ -184,7 +193,7 @@ func (r *Run) AVFSeries(st Structure, scheme Scheme, il Interleaving, modeBits, 
 	if err := validateQuery(il, modeBits); err != nil {
 		return AVFSeries{}, err
 	}
-	a, err := r.analyzerFor(st, il)
+	a, err := r.analyzerFor(st, il, modeBits)
 	if err != nil {
 		return AVFSeries{}, err
 	}
@@ -198,7 +207,7 @@ func (r *Run) SER(st Structure, scheme Scheme, il Interleaving) (SER, error) {
 	if err := validateQuery(il, 1); err != nil {
 		return SER{}, err
 	}
-	a, err := r.analyzerFor(st, il)
+	a, err := r.analyzerFor(st, il, 1)
 	if err != nil {
 		return SER{}, err
 	}

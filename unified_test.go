@@ -6,7 +6,6 @@ import (
 	"reflect"
 	"testing"
 
-	"mbavf/internal/core"
 	"mbavf/internal/faultrate"
 )
 
@@ -90,11 +89,8 @@ func TestUnifiedSeriesEquivalence(t *testing.T) {
 // TestUnifiedSEREquivalence pins Run.SER, which solves its Table III
 // modes as one batch, to the Table III roll-up of per-mode Run.AVF
 // calls, each solving one mode alone — summed in the same order, so the
-// two must be ==. For the L1 and the register file the per-mode solves
-// run on the scalar oracle. On kmeans one scalar L2 roll-up takes about
-// 8 s (the 36 L2 points would add five minutes), so the L2's per-mode
-// solves stay on the packed solver, one query per call; packed-vs-scalar
-// identity on the L2 is TestPaperShapes' job.
+// two must be ==. The L1 and register-file points are also pinned to the
+// per-group oracle in internal/core (TestRealWorkloadOracle).
 func TestUnifiedSEREquivalence(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulates a full workload; skipped in -short (the -race CI leg)")
@@ -103,7 +99,6 @@ func TestUnifiedSEREquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer core.SetScalarSolve(false)
 	for _, st := range Structures() {
 		for _, style := range st.Styles() {
 			for _, scheme := range Schemes() {
@@ -113,7 +108,6 @@ func TestUnifiedSEREquivalence(t *testing.T) {
 					if err != nil {
 						t.Fatalf("SER(%s,%s,%+v): %v", st, scheme, il, err)
 					}
-					core.SetScalarSolve(st != L2)
 					var want SER
 					for _, mr := range faultrate.TableIII() {
 						avf, err := r.AVF(st, scheme, il, mr.Width)
@@ -123,7 +117,6 @@ func TestUnifiedSEREquivalence(t *testing.T) {
 						want.SDC += faultrate.SER(mr.FIT, avf.SDC)
 						want.DUE += faultrate.SER(mr.FIT, avf.TrueDUE+avf.FalseDUE)
 					}
-					core.SetScalarSolve(false)
 					if got != want {
 						t.Errorf("SER(%s,%s,%+v) = %+v, per-mode roll-up = %+v", st, scheme, il, got, want)
 					}
@@ -196,6 +189,36 @@ func TestBadOptions(t *testing.T) {
 			_, err := r.AVFSeries(L1, Parity, Interleaving{Style: StyleLogical, Factor: 1}, 2, 0)
 			return err
 		}},
+	}
+	for _, tc := range cases {
+		if err := tc.call(); !errors.Is(err, ErrBadOption) {
+			t.Errorf("%s: err = %v, want ErrBadOption", tc.name, err)
+		}
+	}
+}
+
+// TestGeometryMisfitsAreBadOptions pins the two query errors only the
+// structure's geometry decides: an interleaving factor that does not
+// divide the structure, and a fault mode wider than its wordlines. Both
+// are the caller's, so every query path wraps them in ErrBadOption.
+func TestGeometryMisfitsAreBadOptions(t *testing.T) {
+	if testing.Short() {
+		t.Skip("simulates a full workload; skipped in -short (the -race CI leg)")
+	}
+	r := minife(t)
+	way8 := Interleaving{Style: StyleWayPhysical, Factor: 8} // the L1 has 4 ways
+	way2 := Interleaving{Style: StyleWayPhysical, Factor: 2}
+	cases := []struct {
+		name string
+		call func() error
+	}{
+		{"AVF factor", func() error { _, err := r.AVF(L1, Parity, way8, 2); return err }},
+		{"AVFSeries factor", func() error { _, err := r.AVFSeries(L1, Parity, way8, 2, 4); return err }},
+		{"SER factor", func() error { _, err := r.SER(L1, Parity, way8); return err }},
+		{"PolicyAVF factor", func() error { _, err := r.PolicyAVF(L1, "parity", way8, 2, DefaultScrubInterval); return err }},
+		{"AVF mode", func() error { _, err := r.AVF(L1, Parity, way2, 5000); return err }},
+		{"AVFSeries mode", func() error { _, err := r.AVFSeries(L1, Parity, way2, 5000, 4); return err }},
+		{"PolicyAVF mode", func() error { _, err := r.PolicyAVF(L1, "parity", way2, 5000, DefaultScrubInterval); return err }},
 	}
 	for _, tc := range cases {
 		if err := tc.call(); !errors.Is(err, ErrBadOption) {
