@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test race race-solver race-inject ci bench bench-check fuzz-smoke serve-smoke fabric-smoke store-smoke clean
+.PHONY: all build vet test race race-fabric race-solver race-inject ci bench bench-check fuzz-smoke serve-smoke fabric-smoke store-smoke clean
 
 all: vet build test
 
@@ -21,6 +21,12 @@ test:
 # still runs them race-free.
 race:
 	$(GO) test -race -short ./...
+
+# Focused race pass over the distributed campaign fabric (leases,
+# steals, retries under heavy goroutine concurrency), run full so a
+# failure names the fabric.
+race-fabric:
+	$(GO) test -race -count=1 ./internal/fabric
 
 # Focused race pass over the ACE solver stack (the packed band sweep,
 # timeline packing, row remap) and the recorders it reads (lifetime
@@ -59,7 +65,8 @@ fabric-smoke:
 store-smoke:
 	./scripts/store-smoke.sh
 
-ci: vet build race race-solver race-inject bench-check fabric-smoke store-smoke
+# The blocking steps of .github/workflows/ci.yml, in its order.
+ci: vet build test race race-fabric race-solver race-inject serve-smoke fabric-smoke store-smoke fuzz-smoke bench-check
 
 bench:
 	$(GO) test -bench=. -benchtime=1x -run=^$$ .

@@ -41,17 +41,17 @@ func equivBackends(t *testing.T) map[string]store.Backend {
 // directly simulated run. The ranged backends additionally exercise the
 // lazy per-section fetch path end to end.
 func TestBackendEquivalence(t *testing.T) {
-	direct, err := RunWorkload("vecadd")
+	direct, err := RunWorkloadContext(context.Background(), "vecadd")
 	if err != nil {
 		t.Fatal(err)
 	}
 	for name, b := range equivBackends(t) {
 		t.Run(name, func(t *testing.T) {
 			rs := NewRunStore(b)
-			if err := rs.Save("vecadd", direct); err != nil {
+			if err := rs.SaveContext(context.Background(), "vecadd", direct); err != nil {
 				t.Fatalf("Save over %s: %v", name, err)
 			}
-			loaded, err := rs.Load("vecadd")
+			loaded, err := rs.LoadContext(context.Background(), "vecadd")
 			if err != nil {
 				t.Fatalf("Load over %s: %v", name, err)
 			}
@@ -77,24 +77,25 @@ func TestBackendEquivalence(t *testing.T) {
 	}
 }
 
-// TestRunWorkloadStoredForAcrossBackends covers the preloading stored-run
-// entry point over every backend: the first call simulates and records,
-// the second answers from the store with the requested structure already
-// decoded (which, over a ranged backend, is what forces the remote
-// section fetch while the fallback machinery is still in scope).
+// TestRunWorkloadStoredForAcrossBackends covers RunWorkloadStored with a
+// structure to preload, over every backend: the first call simulates and
+// records, the second answers from the store with the requested
+// structure already decoded (which, over a ranged backend, is what
+// forces the remote section fetch while the fallback machinery is still
+// in scope).
 func TestRunWorkloadStoredForAcrossBackends(t *testing.T) {
 	ctx := context.Background()
 	for name, b := range equivBackends(t) {
 		t.Run(name, func(t *testing.T) {
 			rs := NewRunStore(b)
-			r1, fromStore, err := RunWorkloadStoredFor(ctx, "vecadd", rs, L1)
+			r1, fromStore, err := RunWorkloadStored(ctx, "vecadd", rs, L1)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if fromStore {
 				t.Error("first call reported a store hit")
 			}
-			r2, fromStore, err := RunWorkloadStoredFor(ctx, "vecadd", rs, L1)
+			r2, fromStore, err := RunWorkloadStored(ctx, "vecadd", rs, L1)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -15,6 +15,7 @@ package mbavf
 // run cmd/mbavf-exp for the complete benchmark set.
 
 import (
+	"context"
 	"testing"
 
 	"mbavf/internal/bitgeom"
@@ -124,7 +125,7 @@ func BenchmarkFig11(b *testing.B) { benchExperiment(b, "fig11") }
 func BenchmarkSimulateMinife(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := RunWorkload("minife"); err != nil {
+		if _, err := RunWorkloadContext(context.Background(), "minife"); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -133,14 +134,14 @@ func BenchmarkSimulateMinife(b *testing.B) {
 // BenchmarkAnalyzeL1 measures one MB-AVF analysis pass (the analysis
 // phase) over the minife L1 for a 2x1 mode.
 func BenchmarkAnalyzeL1(b *testing.B) {
-	run, err := RunWorkload("minife")
+	run, err := RunWorkloadContext(context.Background(), "minife")
 	if err != nil {
 		b.Fatal(err)
 	}
 	il := Interleaving{Style: StyleWayPhysical, Factor: 2}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := run.L1AVF(Parity, il, 2); err != nil {
+		if _, err := run.AVF(L1, Parity, il, 2); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -149,14 +150,14 @@ func BenchmarkAnalyzeL1(b *testing.B) {
 // BenchmarkAnalyzeVGPR measures one MB-AVF analysis pass over the vector
 // register file for a 4x1 mode.
 func BenchmarkAnalyzeVGPR(b *testing.B) {
-	run, err := RunWorkload("minife")
+	run, err := RunWorkloadContext(context.Background(), "minife")
 	if err != nil {
 		b.Fatal(err)
 	}
 	il := Interleaving{Style: StyleInterThread, Factor: 4}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := run.VGPRAVF(Parity, il, 4); err != nil {
+		if _, err := run.AVF(VGPR, Parity, il, 4); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -166,7 +167,7 @@ func BenchmarkAnalyzeVGPR(b *testing.B) {
 // fault mode on the packed solver. The l1/way-x2/2x1 case is the Figure
 // 4 analysis path.
 func BenchmarkSolve(b *testing.B) {
-	run, err := RunWorkload("minife")
+	run, err := RunWorkloadContext(context.Background(), "minife")
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -205,11 +206,11 @@ func BenchmarkSolve(b *testing.B) {
 func BenchmarkAnalyzeFromSimulation(b *testing.B) {
 	il := Interleaving{Style: StyleWayPhysical, Factor: 2}
 	for i := 0; i < b.N; i++ {
-		run, err := RunWorkload("minife")
+		run, err := RunWorkloadContext(context.Background(), "minife")
 		if err != nil {
 			b.Fatal(err)
 		}
-		if _, err := run.L1AVF(Parity, il, 2); err != nil {
+		if _, err := run.AVF(L1, Parity, il, 2); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -226,11 +227,11 @@ func BenchmarkAnalyzeFromStore(b *testing.B) {
 	il := Interleaving{Style: StyleWayPhysical, Factor: 2}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		loaded, err := rs.Load("minife")
+		loaded, err := rs.LoadContext(context.Background(), "minife")
 		if err != nil {
 			b.Fatal(err)
 		}
-		if _, err := loaded.L1AVF(Parity, il, 2); err != nil {
+		if _, err := loaded.AVF(L1, Parity, il, 2); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -242,11 +243,11 @@ func recordedMinife(b *testing.B) *RunStore {
 	if err != nil {
 		b.Fatal(err)
 	}
-	run, err := RunWorkload("minife")
+	run, err := RunWorkloadContext(context.Background(), "minife")
 	if err != nil {
 		b.Fatal(err)
 	}
-	if err := rs.Save("minife", run); err != nil {
+	if err := rs.SaveContext(context.Background(), "minife", run); err != nil {
 		b.Fatal(err)
 	}
 	return rs
@@ -263,7 +264,7 @@ func recordedMinife(b *testing.B) *RunStore {
 func BenchmarkRunAcquisition(b *testing.B) {
 	b.Run("simulate", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := RunWorkload("minife"); err != nil {
+			if _, err := RunWorkloadContext(context.Background(), "minife"); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -272,7 +273,7 @@ func BenchmarkRunAcquisition(b *testing.B) {
 		rs := recordedMinife(b)
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			run, err := rs.Load("minife")
+			run, err := rs.LoadContext(context.Background(), "minife")
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -285,7 +286,7 @@ func BenchmarkRunAcquisition(b *testing.B) {
 		rs := recordedMinife(b)
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			run, err := rs.Load("minife")
+			run, err := rs.LoadContext(context.Background(), "minife")
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -338,7 +339,7 @@ func BenchmarkWorkloads(b *testing.B) {
 		b.Run(name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := RunWorkload(name); err != nil {
+				if _, err := RunWorkloadContext(context.Background(), name); err != nil {
 					b.Fatal(err)
 				}
 			}

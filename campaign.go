@@ -56,14 +56,10 @@ type InjectionCampaign struct {
 	c    *inject.Campaign
 }
 
-// NewInjectionCampaign records the golden run of the named workload.
-func NewInjectionCampaign(workload string) (*InjectionCampaign, error) {
-	return NewInjectionCampaignContext(context.Background(), workload)
-}
-
-// NewInjectionCampaignContext is NewInjectionCampaign under a context:
-// cancelling ctx aborts the golden reference run, so a serving layer can
-// tear down a campaign job before its setup completes.
+// NewInjectionCampaignContext records the golden run of the named
+// workload. Cancelling ctx aborts the golden run, so a serving layer can
+// tear down a campaign job, and a CLI can honour an interrupt, before
+// its setup completes.
 func NewInjectionCampaignContext(ctx context.Context, workload string) (*InjectionCampaign, error) {
 	w, err := workloads.ByName(workload)
 	if err != nil {
@@ -275,15 +271,6 @@ func (ic *InjectionCampaign) RunCampaign(ctx context.Context, cfg CampaignRunCon
 		}
 	}
 	return results, sum, runErr
-}
-
-// RunSingleBit performs n random single-bit injections with the given
-// seed, serially, and returns every classified result — the simple
-// entry point; RunCampaign adds parallelism, checkpointing, and
-// graceful degradation. On error the results completed so far are
-// returned alongside it.
-func (ic *InjectionCampaign) RunSingleBit(n int, seed int64) ([]InjectionResult, CampaignSummary, error) {
-	return ic.RunCampaign(context.Background(), CampaignRunConfig{Injections: n, Seed: seed, Workers: 1})
 }
 
 // InterferenceRow is the Table II result for one multi-bit fault-mode

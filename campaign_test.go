@@ -13,7 +13,7 @@ import (
 )
 
 func TestRunCampaignCheckpointResume(t *testing.T) {
-	c, err := NewInjectionCampaign("vecadd")
+	c, err := NewInjectionCampaignContext(context.Background(), "vecadd")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,7 +62,7 @@ func TestRunCampaignCheckpointResume(t *testing.T) {
 }
 
 func TestRunCampaignResumeRejectsMismatch(t *testing.T) {
-	c, err := NewInjectionCampaign("vecadd")
+	c, err := NewInjectionCampaignContext(context.Background(), "vecadd")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,7 +86,7 @@ func TestRunCampaignResumeRejectsMismatch(t *testing.T) {
 // (seed, index) samples is refused with inject.ErrForeignShot before any
 // shot runs, locally and on the fabric, and is left on disk untouched.
 func TestRunCampaignResumeRejectsTamperedShot(t *testing.T) {
-	c, err := NewInjectionCampaign("vecadd")
+	c, err := NewInjectionCampaignContext(context.Background(), "vecadd")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -91,7 +91,7 @@ func main() {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
-	c, err := mbavf.NewInjectionCampaign(*workload)
+	c, err := mbavf.NewInjectionCampaignContext(ctx, *workload)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "mbavf-inject:", err)
 		os.Exit(1)

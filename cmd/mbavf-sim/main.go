@@ -9,6 +9,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -55,7 +56,7 @@ func main() {
 		fmt.Printf("artifact %s: %d cycles, %d wavefront instructions\n\n",
 			*load, run.Cycles(), run.Instructions())
 	} else {
-		run, err = mbavf.RunWorkload(*workload)
+		run, err = mbavf.RunWorkloadContext(context.Background(), *workload)
 		if err != nil {
 			die(err)
 		}
@@ -88,7 +89,7 @@ func main() {
 		{mbavf.StyleIndexPhysical, mbavf.Parity},
 		{mbavf.StyleWayPhysical, mbavf.SECDED},
 	} {
-		avf, err := run.L1AVF(cfg.scheme, mbavf.Interleaving{Style: cfg.style, Factor: 2}, *mode)
+		avf, err := run.AVF(mbavf.L1, cfg.scheme, mbavf.Interleaving{Style: cfg.style, Factor: 2}, *mode)
 		if err != nil {
 			die(err)
 		}
@@ -106,7 +107,7 @@ func main() {
 		{mbavf.StyleInterThread, mbavf.Parity},
 		{mbavf.StyleInterThread, mbavf.SECDED},
 	} {
-		avf, err := run.VGPRAVF(cfg.scheme, mbavf.Interleaving{Style: cfg.style, Factor: 2}, *mode)
+		avf, err := run.AVF(mbavf.VGPR, cfg.scheme, mbavf.Interleaving{Style: cfg.style, Factor: 2}, *mode)
 		if err != nil {
 			die(err)
 		}

@@ -113,7 +113,7 @@ func record(ctx context.Context, st *store.Store, names []string) error {
 		if ctx.Err() != nil {
 			return ctx.Err()
 		}
-		if rs.Has(name) {
+		if rs.Has(ctx, name) {
 			if _, err := rs.LoadContext(ctx, name); err == nil {
 				fmt.Printf("%s  %s (already recorded)\n", rs.Key(name), name)
 				continue

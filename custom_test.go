@@ -60,14 +60,14 @@ func TestCustomWorkloadEndToEnd(t *testing.T) {
 		}
 	}
 	// The custom run is analyzable like any bundled workload.
-	avf, err := run.L1AVF(Parity, Interleaving{Style: StyleLogical, Factor: 2}, 2)
+	avf, err := run.AVF(L1, Parity, Interleaving{Style: StyleLogical, Factor: 2}, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if avf.Groups == 0 {
 		t.Error("no fault groups analyzed")
 	}
-	vavf, err := run.VGPRAVF(Parity, Interleaving{Style: StyleInterThread, Factor: 2}, 2)
+	vavf, err := run.AVF(VGPR, Parity, Interleaving{Style: StyleInterThread, Factor: 2}, 2)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,22 +1,23 @@
 package mbavf_test
 
 import (
+	"context"
 	"fmt"
 	"log"
 
 	"mbavf"
 )
 
-// ExampleRunWorkload measures the multi-bit vulnerability of the L1 cache
+// ExampleRunWorkloadContext measures the multi-bit vulnerability of the L1 cache
 // under two interleaving styles for the matmul workload. The simulator is
 // fully deterministic, so the printed values are stable.
-func ExampleRunWorkload() {
-	run, err := mbavf.RunWorkload("matmul")
+func ExampleRunWorkloadContext() {
+	run, err := mbavf.RunWorkloadContext(context.Background(), "matmul")
 	if err != nil {
 		log.Fatal(err)
 	}
 	for _, style := range []mbavf.Style{mbavf.StyleLogical, mbavf.StyleWayPhysical} {
-		avf, err := run.L1AVF(mbavf.Parity, mbavf.Interleaving{Style: style, Factor: 2}, 2)
+		avf, err := run.AVF(mbavf.L1, mbavf.Parity, mbavf.Interleaving{Style: style, Factor: 2}, 2)
 		if err != nil {
 			log.Fatal(err)
 		}

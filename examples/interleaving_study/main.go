@@ -10,6 +10,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -23,14 +24,14 @@ func main() {
 	fmt.Println("2x1 DUE MB-AVF / SB-AVF in the L1 cache, parity, x2 interleaving")
 	fmt.Printf("%-12s %10s %12s %12s %12s\n", "workload", "SB-AVF", "logical", "way-phys", "index-phys")
 	for _, name := range workloadSet {
-		run, err := mbavf.RunWorkload(name)
+		run, err := mbavf.RunWorkloadContext(context.Background(), name)
 		if err != nil {
 			log.Fatal(err)
 		}
 		row := make([]float64, len(styles))
 		var sb float64
 		for i, style := range styles {
-			avf, err := run.L1AVF(mbavf.Parity, mbavf.Interleaving{Style: style, Factor: 2}, 2)
+			avf, err := run.AVF(mbavf.L1, mbavf.Parity, mbavf.Interleaving{Style: style, Factor: 2}, 2)
 			if err != nil {
 				log.Fatal(err)
 			}
@@ -46,12 +47,12 @@ func main() {
 	// higher MB-AVF because a bigger group is more likely to contain at
 	// least one ACE bit.
 	fmt.Println("\nDUE MB-AVF / SB-AVF vs fault-mode size (minife, parity, x4 way-physical)")
-	run, err := mbavf.RunWorkload("minife")
+	run, err := mbavf.RunWorkloadContext(context.Background(), "minife")
 	if err != nil {
 		log.Fatal(err)
 	}
 	for m := 2; m <= 8; m++ {
-		avf, err := run.L1AVF(mbavf.Parity, mbavf.Interleaving{Style: mbavf.StyleWayPhysical, Factor: 4}, m)
+		avf, err := run.AVF(mbavf.L1, mbavf.Parity, mbavf.Interleaving{Style: mbavf.StyleWayPhysical, Factor: 4}, m)
 		if err != nil {
 			log.Fatal(err)
 		}

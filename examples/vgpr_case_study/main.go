@@ -13,6 +13,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -39,7 +40,7 @@ func main() {
 
 	runs := make(map[string]*mbavf.Run)
 	for _, name := range workloadSet {
-		r, err := mbavf.RunWorkload(name)
+		r, err := mbavf.RunWorkloadContext(context.Background(), name)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -56,7 +57,7 @@ func main() {
 	for _, cfg := range configs {
 		var sdc, due float64
 		for _, name := range workloadSet {
-			ser, err := runs[name].VGPRSER(cfg.scheme, mbavf.Interleaving{Style: cfg.style, Factor: cfg.factor})
+			ser, err := runs[name].SER(mbavf.VGPR, cfg.scheme, mbavf.Interleaving{Style: cfg.style, Factor: cfg.factor})
 			if err != nil {
 				log.Fatal(err)
 			}

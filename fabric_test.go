@@ -36,7 +36,7 @@ func TestRunCampaignDistributed(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full workload campaign in -short mode")
 	}
-	c, err := NewInjectionCampaign("vecadd")
+	c, err := NewInjectionCampaignContext(context.Background(), "vecadd")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -49,7 +49,7 @@ func tableIIIModes() []bitgeom.FaultMode {
 }
 
 // recordWorkload simulates one bundled workload with full
-// instrumentation, as the public API's RunWorkload does.
+// instrumentation, as the public API's RunWorkloadContext does.
 func recordWorkload(t *testing.T, name string) *sim.Measurements {
 	t.Helper()
 	w, err := workloads.ByName(name)

@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -155,13 +156,13 @@ func TestBitIdenticalAcrossFleets(t *testing.T) {
 			}
 			chaosCfg := fastConfig(w1.URL, w2.URL, w3.URL)
 			chaosCfg.Transport = NewChaosTransport(ChaosConfig{
-				Seed:        int64(len(name)) + 41,
-				DropRequest: 0.15,
+				Seed:         int64(len(name)) + 41,
+				DropRequest:  0.15,
 				DropResponse: 0.10,
-				Err5xx:      0.10,
-				Corrupt:     0.10,
-				Delay:       0.20,
-				MaxDelay:    5 * time.Millisecond,
+				Err5xx:       0.10,
+				Corrupt:      0.10,
+				Delay:        0.20,
+				MaxDelay:     5 * time.Millisecond,
 			}, nil)
 			cases = append(cases, struct {
 				label string
@@ -510,6 +511,13 @@ func TestWorkerLeaseLifecycle(t *testing.T) {
 	if !st.Fatal {
 		t.Error("golden mismatch was not marked fatal")
 	}
+
+	// A lease body over maxLeaseBytes is refused whole, fatally.
+	huge := req
+	huge.ID = strings.Repeat("x", maxLeaseBytes)
+	if st, code := post(huge); code != http.StatusRequestEntityTooLarge || !st.Fatal {
+		t.Errorf("oversized POST: status %d fatal %v, want 413 fatal", code, st.Fatal)
+	}
 }
 
 // TestWorkerGCExpiresOrphanedLeases: a lease nobody polls is swept after
@@ -621,7 +629,9 @@ func TestChaosTransportInjects(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
-	var out struct{ OK bool `json:"ok"` }
+	var out struct {
+		OK bool `json:"ok"`
+	}
 	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil || !out.OK {
 		t.Errorf("zero-probability chaos mangled the response: %v %+v", err, out)
 	}
@@ -632,7 +642,9 @@ func TestChaosTransportInjects(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer resp2.Body.Close()
-	var out2 struct{ OK bool `json:"ok"` }
+	var out2 struct {
+		OK bool `json:"ok"`
+	}
 	derr := json.NewDecoder(resp2.Body).Decode(&out2)
 	if derr == nil && out2.OK && corrupt.Injected()["corrupt"] == 0 {
 		t.Error("Corrupt=1 left the body untouched")

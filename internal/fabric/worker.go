@@ -3,6 +3,7 @@ package fabric
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"net/http"
 	"runtime"
 	"sort"
@@ -192,11 +193,19 @@ func writeLeaseJSON(rw http.ResponseWriter, status int, v any) {
 	_ = json.NewEncoder(rw).Encode(v)
 }
 
+// maxLeaseBytes caps a lease request body; a lease of a full 256-query
+// AVF batch is under 40 KB.
+const maxLeaseBytes = 1 << 20
+
 func (w *Worker) handleCreate(rw http.ResponseWriter, r *http.Request) {
 	w.sweep()
 	var req LeaseRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeLeaseJSON(rw, http.StatusBadRequest, LeaseState{Error: "decoding lease: " + err.Error(), Fatal: true})
+	if err := json.NewDecoder(http.MaxBytesReader(rw, r.Body, maxLeaseBytes)).Decode(&req); err != nil {
+		status := http.StatusBadRequest
+		if errors.As(err, new(*http.MaxBytesError)) {
+			status = http.StatusRequestEntityTooLarge
+		}
+		writeLeaseJSON(rw, status, LeaseState{Error: "decoding lease: " + err.Error(), Fatal: true})
 		return
 	}
 	if err := req.Validate(); err != nil {

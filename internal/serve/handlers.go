@@ -126,10 +126,13 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 }
 
 // httpStatus maps an error to its response code: bad options are the
-// client's fault, unknown names are 404, timeouts are 504, drain
-// cancellations are 503, anything else is a server error.
+// client's fault, an oversized body is 413, unknown names are 404,
+// timeouts are 504, drain cancellations are 503, anything else is a
+// server error.
 func httpStatus(err error) int {
 	switch {
+	case errors.As(err, new(*http.MaxBytesError)):
+		return http.StatusRequestEntityTooLarge
 	case errors.Is(err, mbavf.ErrBadOption):
 		return http.StatusBadRequest
 	case errors.Is(err, errUnknownWorkload):
@@ -145,6 +148,25 @@ func httpStatus(err error) int {
 
 func writeErr(w http.ResponseWriter, err error) {
 	writeJSON(w, httpStatus(err), apiError{Error: err.Error()})
+}
+
+// maxBodyBytes caps every JSON request body; a full batch of 256
+// queries is under 40 KB.
+const maxBodyBytes = 1 << 20
+
+// decodeBody decodes r's JSON body into v, reading at most maxBodyBytes.
+// An oversized body returns an error httpStatus maps to 413; a malformed
+// one wraps ErrBadOption (400).
+func decodeBody(w http.ResponseWriter, r *http.Request, v any) error {
+	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes)).Decode(v)
+	switch {
+	case err == nil:
+		return nil
+	case errors.As(err, new(*http.MaxBytesError)):
+		return fmt.Errorf("decoding body: %w", err)
+	default:
+		return fmt.Errorf("%w: decoding body: %v", mbavf.ErrBadOption, err)
+	}
 }
 
 // Handler builds the service's route table:
@@ -303,13 +325,10 @@ func (s *Server) handleCatalog(w http.ResponseWriter, _ *http.Request) {
 
 // parseAVFQuery accepts the query either as URL parameters (GET) or as a
 // JSON body (POST).
-func parseAVFQuery(r *http.Request) (AVFQuery, error) {
+func parseAVFQuery(w http.ResponseWriter, r *http.Request) (AVFQuery, error) {
 	var q AVFQuery
 	if r.Method == http.MethodPost {
-		if err := json.NewDecoder(r.Body).Decode(&q); err != nil {
-			return q, fmt.Errorf("%w: decoding body: %v", mbavf.ErrBadOption, err)
-		}
-		return q, nil
+		return q, decodeBody(w, r, &q)
 	}
 	v := r.URL.Query()
 	q.Workload = v.Get("workload")
@@ -361,7 +380,7 @@ func (s *Server) queryAVF(ctx context.Context, q AVFQuery) (AVFResponse, error) 
 }
 
 func (s *Server) handleAVF(w http.ResponseWriter, r *http.Request) {
-	q, err := parseAVFQuery(r)
+	q, err := parseAVFQuery(w, r)
 	if err != nil {
 		writeErr(w, err)
 		return
@@ -385,8 +404,8 @@ func (s *Server) handleAVFBatch(w http.ResponseWriter, r *http.Request) {
 	var req struct {
 		Queries []AVFQuery `json:"queries"`
 	}
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeErr(w, fmt.Errorf("%w: decoding body: %v", mbavf.ErrBadOption, err))
+	if err := decodeBody(w, r, &req); err != nil {
+		writeErr(w, err)
 		return
 	}
 	if len(req.Queries) == 0 {
@@ -428,7 +447,7 @@ func (s *Server) handleAVFBatch(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleSER(w http.ResponseWriter, r *http.Request) {
-	q, err := parseAVFQuery(r)
+	q, err := parseAVFQuery(w, r)
 	if err != nil {
 		writeErr(w, err)
 		return
@@ -552,8 +571,8 @@ type InjectionJobResult struct {
 
 func (s *Server) handleJobInjection(w http.ResponseWriter, r *http.Request) {
 	var req InjectionJobRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeErr(w, fmt.Errorf("%w: decoding body: %v", mbavf.ErrBadOption, err))
+	if err := decodeBody(w, r, &req); err != nil {
+		writeErr(w, err)
 		return
 	}
 	if _, ok := s.descriptions[req.Workload]; !ok {
@@ -608,8 +627,8 @@ type ExperimentJobRequest struct {
 
 func (s *Server) handleJobExperiment(w http.ResponseWriter, r *http.Request) {
 	var req ExperimentJobRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeErr(w, fmt.Errorf("%w: decoding body: %v", mbavf.ErrBadOption, err))
+	if err := decodeBody(w, r, &req); err != nil {
+		writeErr(w, err)
 		return
 	}
 	known := false

@@ -9,7 +9,6 @@ package serve
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"net/http"
 	"strconv"
@@ -100,7 +99,7 @@ type PolicyResponse struct {
 
 // parsePolicyQuery accepts the query as URL parameters (GET) or as a
 // JSON body (POST).
-func parsePolicyQuery(r *http.Request) (PolicyQuery, error) {
+func parsePolicyQuery(w http.ResponseWriter, r *http.Request) (PolicyQuery, error) {
 	var q PolicyQuery
 	if r.Method == http.MethodPost {
 		// The scrub interval decodes through a pointer so an absent field
@@ -110,8 +109,8 @@ func parsePolicyQuery(r *http.Request) (PolicyQuery, error) {
 			PolicyQuery
 			ScrubInterval *int64 `json:"scrub_interval"`
 		}
-		if err := json.NewDecoder(r.Body).Decode(&body); err != nil {
-			return q, fmt.Errorf("%w: decoding body: %v", mbavf.ErrBadOption, err)
+		if err := decodeBody(w, r, &body); err != nil {
+			return q, err
 		}
 		q = body.PolicyQuery
 		if body.ScrubInterval != nil {
@@ -175,7 +174,7 @@ func (s *Server) queryPolicy(ctx context.Context, q PolicyQuery) (PolicyResponse
 }
 
 func (s *Server) handlePolicy(w http.ResponseWriter, r *http.Request) {
-	q, err := parsePolicyQuery(r)
+	q, err := parsePolicyQuery(w, r)
 	if err != nil {
 		writeErr(w, err)
 		return

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"context"
 	"net/http"
 	"testing"
 
@@ -29,7 +30,7 @@ func TestPolicyMatchesLibrary(t *testing.T) {
 		t.Errorf("cached policy value diverged: %+v vs %+v", first, second)
 	}
 
-	r, err := mbavf.RunWorkload("vecadd")
+	r, err := mbavf.RunWorkloadContext(context.Background(), "vecadd")
 	if err != nil {
 		t.Fatal(err)
 	}

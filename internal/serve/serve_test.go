@@ -156,7 +156,7 @@ func TestAVFMatchesLibrary(t *testing.T) {
 	var got AVFResponse
 	getJSON(t, ts.URL+vecaddAVF, http.StatusOK, &got)
 
-	r, err := mbavf.RunWorkload("vecadd")
+	r, err := mbavf.RunWorkloadContext(context.Background(), "vecadd")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -234,10 +234,22 @@ func TestRoutesAndErrors(t *testing.T) {
 	getJSON(t, ts.URL+"/api/v1/mttf?raw_fit_per_bit=-1", http.StatusBadRequest, nil)
 	getJSON(t, ts.URL+"/api/v1/mttf?bits=oops", http.StatusBadRequest, nil)
 
+	// Every POST route reads at most maxBodyBytes of JSON: a larger body
+	// is 413, a body of the wrong shape 400, both before any simulation.
+	oversized := map[string]string{"pad": strings.Repeat("a", maxBodyBytes)}
+	for _, route := range []string{"/api/v1/avf", "/api/v1/avf/batch", "/api/v1/ser", "/api/v1/policy", "/api/v1/jobs/injection", "/api/v1/jobs/experiment"} {
+		var apiErr apiError
+		postJSON(t, ts.URL+route, oversized, http.StatusRequestEntityTooLarge, &apiErr)
+		if apiErr.Error == "" {
+			t.Errorf("POST %s oversized: empty error body", route)
+		}
+		postJSON(t, ts.URL+route, []int{1}, http.StatusBadRequest, nil)
+	}
+
 	// SER over HTTP matches the library.
 	var ser SERResponse
 	getJSON(t, ts.URL+"/api/v1/ser?workload=vecadd&structure=vgpr&scheme=parity&style=intra-thread&factor=2", http.StatusOK, &ser)
-	r, err := mbavf.RunWorkload("vecadd")
+	r, err := mbavf.RunWorkloadContext(context.Background(), "vecadd")
 	if err != nil {
 		t.Fatal(err)
 	}

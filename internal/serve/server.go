@@ -203,7 +203,7 @@ func (s *Server) run(ctx context.Context, name string, sts ...mbavf.Structure) (
 		}
 		obsSimWaiting.Set(s.simWaiting.Add(-1))
 		defer func() { <-s.simSem }()
-		r, fromStore, err := mbavf.RunWorkloadStoredFor(s.base, name, s.cfg.Store, sts...)
+		r, fromStore, err := mbavf.RunWorkloadStored(s.base, name, s.cfg.Store, sts...)
 		if err == nil && !fromStore {
 			obsSims.Add(1)
 		}

@@ -1,9 +1,6 @@
 package mbavf
 
-import (
-	"mbavf/internal/bitgeom"
-	"mbavf/internal/core"
-)
+import "mbavf/internal/bitgeom"
 
 // ACELocality quantifies the tendency of the bits of a fault group to be
 // ACE at the same time (the paper's ACE-locality property, Section VI-B):
@@ -16,30 +13,19 @@ type ACELocality struct {
 	Groups int
 }
 
-func localityOf(a *core.Analyzer, modeBits int) (ACELocality, error) {
+// ACELocality measures the ACE locality of Mx1 fault groups in the
+// given structure under the given interleaving layout.
+func (r *Run) ACELocality(st Structure, il Interleaving, modeBits int) (ACELocality, error) {
+	if err := validateQuery(il, modeBits); err != nil {
+		return ACELocality{}, err
+	}
+	a, err := r.analyzerFor(st, il, modeBits)
+	if err != nil {
+		return ACELocality{}, err
+	}
 	loc, err := a.ACELocality(bitgeom.Mx1(modeBits))
 	if err != nil {
 		return ACELocality{}, err
 	}
 	return ACELocality{Coefficient: loc.Coefficient(), Groups: loc.Groups}, nil
-}
-
-// L1ACELocality measures ACE locality of Mx1 fault groups in compute unit
-// 0's L1 data array under the given interleaving layout.
-func (r *Run) L1ACELocality(il Interleaving, modeBits int) (ACELocality, error) {
-	a, err := r.analyzerFor(L1, il, modeBits)
-	if err != nil {
-		return ACELocality{}, err
-	}
-	return localityOf(a, modeBits)
-}
-
-// VGPRACELocality measures ACE locality of Mx1 fault groups in the vector
-// register file under the given interleaving layout.
-func (r *Run) VGPRACELocality(il Interleaving, modeBits int) (ACELocality, error) {
-	a, err := r.analyzerFor(VGPR, il, modeBits)
-	if err != nil {
-		return ACELocality{}, err
-	}
-	return localityOf(a, modeBits)
 }

@@ -11,9 +11,14 @@
 //
 // Typical use:
 //
-//	run, err := mbavf.RunWorkload("minife")
-//	avf, err := run.L1AVF(mbavf.Parity, mbavf.Interleaving{Style: mbavf.StyleIndexPhysical, Factor: 2}, 2)
+//	run, err := mbavf.RunWorkloadContext(ctx, "minife")
+//	avf, err := run.AVF(mbavf.L1, mbavf.Parity, mbavf.Interleaving{Style: mbavf.StyleIndexPhysical, Factor: 2}, 2)
 //	fmt.Println(avf.DUE, avf.SDC)
+//
+// Every query names its point — structure, scheme, interleaving and
+// fault mode — as arguments: Run.AVF, Run.AVFSeries, Run.SER,
+// Run.PolicyAVF and Run.ACELocality. Every entry point that simulates
+// or does I/O takes a context.
 //
 // All workloads execute on the bundled simulator; see the examples
 // directory for complete programs and cmd/mbavf-exp for the paper's
@@ -24,7 +29,6 @@ import (
 	"context"
 	"fmt"
 
-	"mbavf/internal/bitgeom"
 	"mbavf/internal/core"
 	"mbavf/internal/ecc"
 	"mbavf/internal/interleave"
@@ -158,16 +162,10 @@ func WorkloadDescription(name string) (string, error) {
 	return w.Description, nil
 }
 
-// RunWorkload executes the named workload on the default APU
-// configuration with full instrumentation.
-func RunWorkload(name string) (*Run, error) {
-	return RunWorkloadContext(context.Background(), name)
-}
-
-// RunWorkloadContext is RunWorkload under a context: cancelling ctx (or
-// exceeding its deadline) aborts the simulation between instructions and
-// returns the context's error. Long-running servers use it to bound
-// simulation time per request; the CLI entry points keep RunWorkload.
+// RunWorkloadContext executes the named workload on the default APU
+// configuration with full instrumentation. Cancelling ctx (or exceeding
+// its deadline) aborts the simulation between instructions and returns
+// the context's error.
 func RunWorkloadContext(ctx context.Context, name string) (*Run, error) {
 	w, err := workloads.ByName(name)
 	if err != nil {
@@ -203,14 +201,6 @@ func cacheLayout(il Interleaving, sets, ways, lineBits int) (*interleave.Layout,
 	}
 }
 
-func (r *Run) l1Layout(il Interleaving) (*interleave.Layout, error) {
-	return cacheLayout(il, r.m.L1Sets, r.m.L1Ways, r.m.LineBytes*8)
-}
-
-func (r *Run) l2Layout(il Interleaving) (*interleave.Layout, error) {
-	return cacheLayout(il, r.m.L2Sets, r.m.L2Ways, r.m.LineBytes*8)
-}
-
 func (r *Run) vgprLayout(il Interleaving) (*interleave.Layout, bool, error) {
 	switch il.Style {
 	case StyleIntraThread:
@@ -224,60 +214,10 @@ func (r *Run) vgprLayout(il Interleaving) (*interleave.Layout, bool, error) {
 	}
 }
 
-func (r *Run) analyze(a *core.Analyzer, scheme Scheme, modeBits int) (AVF, error) {
-	impl, err := scheme.impl()
-	if err != nil {
-		return AVF{}, err
-	}
-	res, err := a.Analyze(impl, bitgeom.Mx1(modeBits))
-	if err != nil {
-		return AVF{}, err
-	}
-	return fromResult(res), nil
-}
-
-// L1AVF measures the MB-AVF of an Mx1 fault mode (modeBits adjacent bits
-// along a wordline) in compute unit 0's L1 data array.
-//
-// Deprecated: use Run.AVF with the L1 structure; this wrapper remains for
-// source compatibility and forwards to the unified path unchanged.
-func (r *Run) L1AVF(scheme Scheme, il Interleaving, modeBits int) (AVF, error) {
-	return r.AVF(L1, scheme, il, modeBits)
-}
-
-// L2AVF measures the MB-AVF of an Mx1 fault mode in the shared L2 data
-// array.
-//
-// Deprecated: use Run.AVF with the L2 structure; this wrapper remains for
-// source compatibility and forwards to the unified path unchanged.
-func (r *Run) L2AVF(scheme Scheme, il Interleaving, modeBits int) (AVF, error) {
-	return r.AVF(L2, scheme, il, modeBits)
-}
-
-// VGPRAVF measures the MB-AVF of an Mx1 fault mode in compute unit 0's
-// vector register file. Inter-thread interleaving applies the paper's
-// detection-preempts-SDC rule (registers of a 16-thread group are read in
-// lock-step, so an adjacent thread's DUE fires before an SDC propagates).
-//
-// Deprecated: use Run.AVF with the VGPR structure; this wrapper remains
-// for source compatibility and forwards to the unified path unchanged.
-func (r *Run) VGPRAVF(scheme Scheme, il Interleaving, modeBits int) (AVF, error) {
-	return r.AVF(VGPR, scheme, il, modeBits)
-}
-
 // SER is a soft-error-rate roll-up over all fault modes of Table III.
 type SER struct {
 	// SDC and DUE are FIT-weighted rates (raw mode rate x measured AVF,
 	// summed over 1x1..8x1).
 	SDC float64
 	DUE float64
-}
-
-// VGPRSER rolls the register file's per-mode AVFs into SDC and DUE soft
-// error rates using the paper's Table III raw fault rates (total = 100).
-//
-// Deprecated: use Run.SER with the VGPR structure; this wrapper remains
-// for source compatibility and forwards to the unified path unchanged.
-func (r *Run) VGPRSER(scheme Scheme, il Interleaving) (SER, error) {
-	return r.SER(VGPR, scheme, il)
 }

@@ -2,6 +2,7 @@ package mbavf
 
 import (
 	"bytes"
+	"context"
 	"sync"
 	"testing"
 )
@@ -16,7 +17,7 @@ var (
 func minife(t *testing.T) *Run {
 	t.Helper()
 	minifeOnce.Do(func() {
-		minifeR, minifeErr = RunWorkload("minife")
+		minifeR, minifeErr = RunWorkloadContext(context.Background(), "minife")
 	})
 	if minifeErr != nil {
 		t.Fatal(minifeErr)
@@ -41,7 +42,7 @@ func TestWorkloadsExposed(t *testing.T) {
 }
 
 func TestRunWorkloadUnknown(t *testing.T) {
-	if _, err := RunWorkload("nope"); err == nil {
+	if _, err := RunWorkloadContext(context.Background(), "nope"); err == nil {
 		t.Error("unknown workload should error")
 	}
 }
@@ -51,7 +52,7 @@ func TestL1AVFBasics(t *testing.T) {
 	if r.Cycles() == 0 || r.Instructions() == 0 {
 		t.Fatal("empty run")
 	}
-	avf, err := r.L1AVF(Parity, Interleaving{Style: StyleLogical, Factor: 2}, 2)
+	avf, err := r.AVF(L1, Parity, Interleaving{Style: StyleLogical, Factor: 2}, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,7 +75,7 @@ func TestL1AVFBasics(t *testing.T) {
 func TestMBAVFWithinPaperBounds(t *testing.T) {
 	r := minife(t)
 	for _, style := range []Style{StyleLogical, StyleWayPhysical, StyleIndexPhysical} {
-		avf, err := r.L1AVF(Parity, Interleaving{Style: style, Factor: 2}, 2)
+		avf, err := r.AVF(L1, Parity, Interleaving{Style: style, Factor: 2}, 2)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -90,7 +91,7 @@ func TestMBAVFWithinPaperBounds(t *testing.T) {
 func TestLogicalInterleavingLowestMBAVF(t *testing.T) {
 	r := minife(t)
 	get := func(style Style) float64 {
-		avf, err := r.L1AVF(Parity, Interleaving{Style: style, Factor: 2}, 2)
+		avf, err := r.AVF(L1, Parity, Interleaving{Style: style, Factor: 2}, 2)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -110,7 +111,7 @@ func TestMBAVFGrowsWithModeSize(t *testing.T) {
 	r := minife(t)
 	prev := 0.0
 	for m := 1; m <= 4; m++ {
-		avf, err := r.L1AVF(Parity, Interleaving{Style: StyleWayPhysical, Factor: 4}, m)
+		avf, err := r.AVF(L1, Parity, Interleaving{Style: StyleWayPhysical, Factor: 4}, m)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -125,7 +126,7 @@ func TestMBAVFGrowsWithModeSize(t *testing.T) {
 // corrected — zero DUE and SDC.
 func TestSECDEDCorrectsSingleBit(t *testing.T) {
 	r := minife(t)
-	avf, err := r.L1AVF(SECDED, Interleaving{Style: StyleWayPhysical, Factor: 2}, 1)
+	avf, err := r.AVF(L1, SECDED, Interleaving{Style: StyleWayPhysical, Factor: 2}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,7 +139,7 @@ func TestSECDEDCorrectsSingleBit(t *testing.T) {
 // (no interleaving) defeats parity: SDC > 0 and detected-DUE = 0.
 func TestParityEvenFaultsUndetected(t *testing.T) {
 	r := minife(t)
-	avf, err := r.L1AVF(Parity, Interleaving{Style: StyleLogical, Factor: 1}, 2)
+	avf, err := r.AVF(L1, Parity, Interleaving{Style: StyleLogical, Factor: 1}, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,11 +156,11 @@ func TestParityEvenFaultsUndetected(t *testing.T) {
 func TestFig9Shape(t *testing.T) {
 	r := minife(t)
 	il := Interleaving{Style: StyleWayPhysical, Factor: 2}
-	five, err := r.L1AVF(SECDED, il, 5)
+	five, err := r.AVF(L1, SECDED, il, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
-	six, err := r.L1AVF(SECDED, il, 6)
+	six, err := r.AVF(L1, SECDED, il, 6)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -176,7 +177,7 @@ func TestFig9Shape(t *testing.T) {
 
 func TestL2AVF(t *testing.T) {
 	r := minife(t)
-	avf, err := r.L2AVF(Parity, Interleaving{Style: StyleIndexPhysical, Factor: 2}, 2)
+	avf, err := r.AVF(L2, Parity, Interleaving{Style: StyleIndexPhysical, Factor: 2}, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -187,11 +188,11 @@ func TestL2AVF(t *testing.T) {
 
 func TestVGPRAVFAndPreemption(t *testing.T) {
 	r := minife(t)
-	intra, err := r.VGPRAVF(Parity, Interleaving{Style: StyleIntraThread, Factor: 2}, 2)
+	intra, err := r.AVF(VGPR, Parity, Interleaving{Style: StyleIntraThread, Factor: 2}, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	inter, err := r.VGPRAVF(Parity, Interleaving{Style: StyleInterThread, Factor: 2}, 2)
+	inter, err := r.AVF(VGPR, Parity, Interleaving{Style: StyleInterThread, Factor: 2}, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -209,15 +210,15 @@ func TestVGPRAVFAndPreemption(t *testing.T) {
 // interleaving.
 func TestCaseStudyShape(t *testing.T) {
 	r := minife(t)
-	parityTX4, err := r.VGPRSER(Parity, Interleaving{Style: StyleInterThread, Factor: 4})
+	parityTX4, err := r.SER(VGPR, Parity, Interleaving{Style: StyleInterThread, Factor: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
-	eccRX2, err := r.VGPRSER(SECDED, Interleaving{Style: StyleIntraThread, Factor: 2})
+	eccRX2, err := r.SER(VGPR, SECDED, Interleaving{Style: StyleIntraThread, Factor: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	eccTX2, err := r.VGPRSER(SECDED, Interleaving{Style: StyleInterThread, Factor: 2})
+	eccTX2, err := r.SER(VGPR, SECDED, Interleaving{Style: StyleInterThread, Factor: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -244,29 +245,29 @@ func TestSchemeOverheads(t *testing.T) {
 
 func TestInvalidConfigurations(t *testing.T) {
 	r := minife(t)
-	if _, err := r.L1AVF(Parity, Interleaving{Style: StyleIntraThread, Factor: 2}, 2); err == nil {
+	if _, err := r.AVF(L1, Parity, Interleaving{Style: StyleIntraThread, Factor: 2}, 2); err == nil {
 		t.Error("thread interleaving on a cache should error")
 	}
-	if _, err := r.VGPRAVF(Parity, Interleaving{Style: StyleLogical, Factor: 2}, 2); err == nil {
+	if _, err := r.AVF(VGPR, Parity, Interleaving{Style: StyleLogical, Factor: 2}, 2); err == nil {
 		t.Error("logical style on VGPR should error")
 	}
-	if _, err := r.L1AVF(Parity, Interleaving{Style: StyleLogical, Factor: 3}, 2); err == nil {
+	if _, err := r.AVF(L1, Parity, Interleaving{Style: StyleLogical, Factor: 3}, 2); err == nil {
 		t.Error("factor 3 over 512-bit lines should error")
 	}
-	if _, err := r.L1AVF("bogus", Interleaving{Style: StyleLogical, Factor: 2}, 2); err == nil {
+	if _, err := r.AVF(L1, "bogus", Interleaving{Style: StyleLogical, Factor: 2}, 2); err == nil {
 		t.Error("bogus scheme should error")
 	}
-	if _, err := r.L1AVF(Parity, Interleaving{Style: StyleLogical, Factor: 2}, 0); err == nil {
+	if _, err := r.AVF(L1, Parity, Interleaving{Style: StyleLogical, Factor: 2}, 0); err == nil {
 		t.Error("zero-bit mode should error")
 	}
 }
 
 func TestInjectionCampaignFacade(t *testing.T) {
-	c, err := NewInjectionCampaign("vecadd")
+	c, err := NewInjectionCampaignContext(context.Background(), "vecadd")
 	if err != nil {
 		t.Fatal(err)
 	}
-	results, sum, err := c.RunSingleBit(25, 9)
+	results, sum, err := c.RunCampaign(context.Background(), CampaignRunConfig{Injections: 25, Seed: 9, Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -288,14 +289,14 @@ func TestExperimentFacade(t *testing.T) {
 	if len(Experiments()) != 19 {
 		t.Errorf("experiments = %v", Experiments())
 	}
-	out, err := RunExperiment("table1", ExperimentOptions{})
+	out, err := RunExperimentContext(context.Background(), "table1", ExperimentOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(out) == 0 {
 		t.Error("empty experiment output")
 	}
-	if _, err := RunExperiment("nope", ExperimentOptions{}); err == nil {
+	if _, err := RunExperimentContext(context.Background(), "nope", ExperimentOptions{}); err == nil {
 		t.Error("unknown experiment should error")
 	}
 }
@@ -305,7 +306,7 @@ func TestExperimentFacade(t *testing.T) {
 func TestACELocalityOrdering(t *testing.T) {
 	r := minife(t)
 	get := func(style Style) float64 {
-		loc, err := r.L1ACELocality(Interleaving{Style: style, Factor: 2}, 2)
+		loc, err := r.ACELocality(L1, Interleaving{Style: style, Factor: 2}, 2)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -329,7 +330,7 @@ func TestACELocalityOrdering(t *testing.T) {
 // locality is high.
 func TestVGPRACELocality(t *testing.T) {
 	r := minife(t)
-	loc, err := r.VGPRACELocality(Interleaving{Style: StyleInterThread, Factor: 2}, 2)
+	loc, err := r.ACELocality(VGPR, Interleaving{Style: StyleInterThread, Factor: 2}, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -358,7 +359,7 @@ func TestMTTFSweepFacade(t *testing.T) {
 
 func TestAVFSeries(t *testing.T) {
 	r := minife(t)
-	series, err := r.L1AVFSeries(Parity, Interleaving{Style: StyleIndexPhysical, Factor: 2}, 2, 6)
+	series, err := r.AVFSeries(L1, Parity, Interleaving{Style: StyleIndexPhysical, Factor: 2}, 2, 6)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -379,10 +380,10 @@ func TestAVFSeries(t *testing.T) {
 	if acc < total*0.999 || acc > total*1.001 {
 		t.Errorf("windowed DUE mass %v != total %v", acc, total)
 	}
-	if _, err := r.L1AVFSeries(Parity, Interleaving{Style: StyleLogical, Factor: 2}, 2, 0); err == nil {
+	if _, err := r.AVFSeries(L1, Parity, Interleaving{Style: StyleLogical, Factor: 2}, 2, 0); err == nil {
 		t.Error("zero windows should error")
 	}
-	vs, err := r.VGPRAVFSeries(Parity, Interleaving{Style: StyleInterThread, Factor: 2}, 2, 4)
+	vs, err := r.AVFSeries(VGPR, Parity, Interleaving{Style: StyleInterThread, Factor: 2}, 2, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -405,22 +406,22 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 		t.Error("metadata mismatch after reload")
 	}
 	il := Interleaving{Style: StyleWayPhysical, Factor: 2}
-	want, err := r.L1AVF(Parity, il, 3)
+	want, err := r.AVF(L1, Parity, il, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := loaded.L1AVF(Parity, il, 3)
+	got, err := loaded.AVF(L1, Parity, il, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if want != got {
 		t.Errorf("reloaded analysis differs:\n want %+v\n got  %+v", want, got)
 	}
-	vwant, err := r.VGPRAVF(SECDED, Interleaving{Style: StyleInterThread, Factor: 2}, 5)
+	vwant, err := r.AVF(VGPR, SECDED, Interleaving{Style: StyleInterThread, Factor: 2}, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
-	vgot, err := loaded.VGPRAVF(SECDED, Interleaving{Style: StyleInterThread, Factor: 2}, 5)
+	vgot, err := loaded.AVF(VGPR, SECDED, Interleaving{Style: StyleInterThread, Factor: 2}, 5)
 	if err != nil {
 		t.Fatal(err)
 	}

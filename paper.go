@@ -13,7 +13,7 @@ import (
 // fig5, fig6, table2, fig8, fig9, fig10, table3, fig11).
 func Experiments() []string { return experiments.Names() }
 
-// ExperimentOptions tunes RunExperiment.
+// ExperimentOptions tunes RunExperimentContext.
 type ExperimentOptions struct {
 	// Workloads restricts the benchmark set (nil = the paper set).
 	Workloads []string
@@ -104,17 +104,10 @@ func (o ExperimentOptions) Validate() error {
 	return err
 }
 
-// RunExperiment regenerates one of the paper's tables or figures and
-// returns its rendered text. Invalid options are reported with an error
-// wrapping ErrBadOption.
-func RunExperiment(name string, opts ExperimentOptions) (string, error) {
-	return RunExperimentContext(context.Background(), name, opts)
-}
-
-// RunExperimentContext is RunExperiment under a context: cancelling ctx
-// aborts the experiment's simulations and injection campaigns and returns
-// the context's error — the entry point the analysis service's experiment
-// jobs run through.
+// RunExperimentContext regenerates one of the paper's tables or figures
+// and returns its rendered text. Invalid options are reported with an
+// error wrapping ErrBadOption. Cancelling ctx aborts the experiment's
+// simulations and injection campaigns and returns the context's error.
 func RunExperimentContext(ctx context.Context, name string, opts ExperimentOptions) (string, error) {
 	e, err := experiments.ByName(name)
 	if err != nil {

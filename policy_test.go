@@ -1,6 +1,7 @@
 package mbavf
 
 import (
+	"context"
 	"errors"
 	"sync"
 	"testing"
@@ -17,7 +18,7 @@ var (
 func vecadd(t *testing.T) *Run {
 	t.Helper()
 	vecaddOnce.Do(func() {
-		vecaddR, vecaddErr = RunWorkload("vecadd")
+		vecaddR, vecaddErr = RunWorkloadContext(context.Background(), "vecadd")
 	})
 	if vecaddErr != nil {
 		t.Fatal(vecaddErr)

@@ -44,12 +44,10 @@ func NewRunStore(b store.Backend) *RunStore {
 }
 
 // OpenRunStore opens (creating if needed) a run-artifact store rooted at
-// dir.
-//
-// Deprecated: OpenRunStore is the pre-backend spelling, kept as a thin
-// bit-identical wrapper over NewRunStore with a disk backend so
-// existing callers compile unchanged. New code should construct the
-// backend explicitly: NewRunStore(disk.New(dir)).
+// dir. Every store.Backend implementation lives under mbavf/internal,
+// so this is the one constructor a program outside the mbavf import
+// path can call; NewRunStore serves code inside it that picks its own
+// backend.
 func OpenRunStore(dir string) (*RunStore, error) {
 	b, err := disk.New(dir)
 	if err != nil {
@@ -74,20 +72,23 @@ func (rs *RunStore) Maintain(ctx context.Context, cfg store.MaintainConfig) {
 }
 
 // Key returns the content address of the named workload's artifact
-// under the default machine configuration (the one RunWorkload uses).
+// under the default machine configuration (the one RunWorkloadContext
+// uses).
 func (rs *RunStore) Key(workload string) string {
 	return store.KeyFor(workload, sim.DefaultConfig())
 }
 
-// Has reports whether the workload's artifact is recorded.
-func (rs *RunStore) Has(workload string) bool {
-	return rs.st.Has(context.Background(), rs.Key(workload))
+// Has reports whether the workload's artifact is recorded; ctx bounds
+// the backend I/O.
+func (rs *RunStore) Has(ctx context.Context, workload string) bool {
+	return rs.st.Has(ctx, rs.Key(workload))
 }
 
-// Load revives the named workload's recorded Run. A missing artifact
+// LoadContext revives the named workload's recorded Run; ctx bounds the
+// backend I/O (a remote store may be slow or gone). A missing artifact
 // returns ErrNotInStore; a damaged one (any CRC mismatch) is
 // quarantined and returns a typed decode error. Either way the caller's
-// fallback is RunWorkload.
+// fallback is RunWorkloadContext.
 //
 // Loading is lazy: over a local backend the artifact's framing and
 // checksums are fully verified here, while each section's measurement
@@ -95,12 +96,6 @@ func (rs *RunStore) Has(workload string) bool {
 // backend (HTTP) even the payload bytes transfer on first touch —
 // reviving a run costs milliseconds regardless of artifact size, and an
 // L1 query never pays to decode (or download) the L2 timeline.
-func (rs *RunStore) Load(workload string) (*Run, error) {
-	return rs.LoadContext(context.Background(), workload)
-}
-
-// LoadContext is Load under a context, which bounds the backend I/O
-// (a remote store may be slow or gone).
 func (rs *RunStore) LoadContext(ctx context.Context, workload string) (*Run, error) {
 	a, err := rs.st.GetArtifact(ctx, rs.Key(workload))
 	if err != nil {
@@ -158,13 +153,9 @@ func (r *Run) Preload(sts ...Structure) error {
 	return nil
 }
 
-// Save records the run as the named workload's artifact, atomically
-// replacing any previous recording.
-func (rs *RunStore) Save(workload string, r *Run) error {
-	return rs.SaveContext(context.Background(), workload, r)
-}
-
-// SaveContext is Save under a context bounding the backend I/O.
+// SaveContext records the run as the named workload's artifact,
+// atomically replacing any previous recording; ctx bounds the backend
+// I/O.
 func (rs *RunStore) SaveContext(ctx context.Context, workload string, r *Run) error {
 	m, err := r.measurements()
 	if err != nil {
@@ -173,7 +164,7 @@ func (rs *RunStore) SaveContext(ctx context.Context, workload string, r *Run) er
 	return rs.st.Put(ctx, rs.Key(workload), m)
 }
 
-// storeRetryDelay is the backoff before the single Load retry on a
+// storeRetryDelay is the backoff before the single load retry on a
 // transient store failure; a var so tests don't wait.
 var storeRetryDelay = 50 * time.Millisecond
 
@@ -202,25 +193,21 @@ func (rs *RunStore) loadPreloaded(ctx context.Context, workload string, sts []St
 // still returns the simulated run — persistence is an accelerator,
 // never a correctness dependency.
 //
+// sts names the structures the caller is about to analyze: a
+// store-served Run arrives with those structures preloaded, so a remote
+// section that turns out damaged (or a server that vanishes
+// mid-download) is discovered here — where the fallback-to-simulation
+// machinery can still handle it — instead of mid-analysis.
+//
 // Load failures split by kind. A damaged artifact (ErrCorrupt /
 // ErrFormat) is already quarantined by the store, so the fallback
 // simulation re-records a good replacement. A transient failure (EMFILE,
-// NFS hiccup, an unreachable artifact server) gets one retried Load
+// NFS hiccup, an unreachable artifact server) gets one retried load
 // after a short backoff, and if that also fails the fallback simulation
 // does NOT overwrite the artifact — the recording in the store may be
 // perfectly good, and clobbering it mid-flap would throw away an
 // expensive, valid run.
-func RunWorkloadStored(ctx context.Context, name string, rs *RunStore) (*Run, bool, error) {
-	return RunWorkloadStoredFor(ctx, name, rs)
-}
-
-// RunWorkloadStoredFor is RunWorkloadStored with the structures the
-// caller is about to analyze: a store-served Run arrives with those
-// structures preloaded, so a remote section that turns out damaged (or
-// a server that vanishes mid-download) is discovered here — where the
-// fallback-to-simulation machinery can still handle it — instead of
-// mid-analysis.
-func RunWorkloadStoredFor(ctx context.Context, name string, rs *RunStore, sts ...Structure) (*Run, bool, error) {
+func RunWorkloadStored(ctx context.Context, name string, rs *RunStore, sts ...Structure) (*Run, bool, error) {
 	if rs == nil {
 		r, err := RunWorkloadContext(ctx, name)
 		return r, false, err

@@ -9,6 +9,7 @@ package mbavf
 // physics the paper predicts.
 
 import (
+	"context"
 	"fmt"
 	"math/bits"
 	"sync"
@@ -38,7 +39,7 @@ func shapeRun(t *testing.T, name string) *Run {
 	shapeOnce.Do(func() {
 		shapeRuns = make(map[string]*Run, len(shapeWorkloads))
 		for _, n := range shapeWorkloads {
-			r, err := RunWorkload(n)
+			r, err := RunWorkloadContext(context.Background(), n)
 			if err != nil {
 				shapeErr = fmt.Errorf("%s: %w", n, err)
 				return
@@ -59,7 +60,7 @@ type l1Solver func(t *testing.T, r *Run, scheme Scheme, style Style, factor, mod
 // packed band sweep.
 func l1avf(t *testing.T, r *Run, scheme Scheme, style Style, factor, modeBits int) AVF {
 	t.Helper()
-	avf, err := r.L1AVF(scheme, Interleaving{Style: style, Factor: factor}, modeBits)
+	avf, err := r.AVF(L1, scheme, Interleaving{Style: style, Factor: factor}, modeBits)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -24,10 +24,10 @@ func storedMinife(t *testing.T) (direct, stored *Run) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := rs.Save("minife", direct); err != nil {
+	if err := rs.SaveContext(context.Background(), "minife", direct); err != nil {
 		t.Fatal(err)
 	}
-	stored, err = rs.Load("minife")
+	stored, err = rs.LoadContext(context.Background(), "minife")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,7 +168,7 @@ func TestStoreCorruptionFallsBackToSimulation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := rs.Save("minife", r); err != nil {
+	if err := rs.SaveContext(context.Background(), "minife", r); err != nil {
 		t.Fatal(err)
 	}
 	paths, err := filepath.Glob(filepath.Join(dir, "*.mbavf"))
@@ -187,7 +187,7 @@ func TestStoreCorruptionFallsBackToSimulation(t *testing.T) {
 			if err := os.WriteFile(paths[0], mut, 0o644); err != nil {
 				t.Fatal(err)
 			}
-			_, err := rs.Load("minife")
+			_, err := rs.LoadContext(context.Background(), "minife")
 			if err == nil {
 				t.Fatalf("Load accepted artifact with flipped byte in %s section", name)
 			}
@@ -206,7 +206,7 @@ func TestStoreCorruptionFallsBackToSimulation(t *testing.T) {
 			if got.Cycles() != r.Cycles() {
 				t.Errorf("fallback simulation differs: %d vs %d cycles", got.Cycles(), r.Cycles())
 			}
-			if again, err := rs.Load("minife"); err != nil || again.Cycles() != r.Cycles() {
+			if again, err := rs.LoadContext(context.Background(), "minife"); err != nil || again.Cycles() != r.Cycles() {
 				t.Errorf("re-recorded artifact unusable: %v", err)
 			}
 		})
@@ -223,14 +223,14 @@ func TestStoreLazyConcurrentQueries(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	direct, err := RunWorkload("vecadd")
+	direct, err := RunWorkloadContext(context.Background(), "vecadd")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := rs.Save("vecadd", direct); err != nil {
+	if err := rs.SaveContext(context.Background(), "vecadd", direct); err != nil {
 		t.Fatal(err)
 	}
-	loaded, err := rs.Load("vecadd")
+	loaded, err := rs.LoadContext(context.Background(), "vecadd")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -268,17 +268,17 @@ func TestRunPreload(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	direct, err := RunWorkload("vecadd")
+	direct, err := RunWorkloadContext(context.Background(), "vecadd")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := direct.Preload(); err != nil {
 		t.Errorf("Preload on a simulated run: %v", err)
 	}
-	if err := rs.Save("vecadd", direct); err != nil {
+	if err := rs.SaveContext(context.Background(), "vecadd", direct); err != nil {
 		t.Fatal(err)
 	}
-	loaded, err := rs.Load("vecadd")
+	loaded, err := rs.LoadContext(context.Background(), "vecadd")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -309,7 +309,7 @@ func TestRunWorkloadStoredRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rs.Has("minife") {
+	if rs.Has(context.Background(), "minife") {
 		t.Fatal("fresh store claims to hold minife")
 	}
 	r1, fromStore, err := RunWorkloadStored(context.Background(), "minife", rs)
@@ -319,7 +319,7 @@ func TestRunWorkloadStoredRoundTrip(t *testing.T) {
 	if fromStore {
 		t.Error("first call reported a store hit")
 	}
-	if !rs.Has("minife") {
+	if !rs.Has(context.Background(), "minife") {
 		t.Error("first call did not record")
 	}
 	r2, fromStore, err := RunWorkloadStored(context.Background(), "minife", rs)
@@ -375,7 +375,7 @@ func TestArtifactDigestsPinned(t *testing.T) {
 		t.Errorf("%d workloads, %d pinned digests", len(names), len(artifactDigests))
 	}
 	for _, name := range names {
-		r, err := RunWorkload(name)
+		r, err := RunWorkloadContext(context.Background(), name)
 		if err != nil {
 			t.Fatal(err)
 		}

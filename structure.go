@@ -64,10 +64,11 @@ func (st Structure) Styles() []Style {
 // Schemes lists the supported protection schemes.
 func Schemes() []Scheme { return []Scheme{NoProtection, Parity, SECDED, DECTED} }
 
-// validateQuery is the one shared parameter check behind every AVF entry
-// point (unified and legacy, total and windowed): the interleaving degree
-// and the fault-mode width must both be positive. Layout constructors
-// additionally require the factor to divide the structure's geometry.
+// validateQuery is the one shared parameter check behind every query
+// method (AVF, AVFSeries, SER, PolicyAVF, ACELocality): the interleaving
+// degree and the fault-mode width must both be positive. Layout
+// constructors additionally require the factor to divide the structure's
+// geometry.
 func validateQuery(il Interleaving, modeBits int) error {
 	if il.Factor < 1 {
 		return fmt.Errorf("%w: interleaving factor %d must be >= 1", ErrBadOption, il.Factor)
@@ -120,8 +121,8 @@ func (r *Run) tracker(st Structure) (*lifetime.Tracker, error) {
 }
 
 // analyzerFor builds the MB-AVF analyzer of one structure under one
-// interleaving layout — the single construction path shared by the
-// unified API, the legacy per-structure methods, and the windowed series.
+// interleaving layout — the single construction path behind every query
+// method, called after validateQuery.
 // A layout the structure's geometry cannot take (a factor that does not
 // divide it) and an Mx1 mode wider than its wordlines are bad options.
 func (r *Run) analyzerFor(st Structure, il Interleaving, modeBits int) (*core.Analyzer, error) {
@@ -130,9 +131,9 @@ func (r *Run) analyzerFor(st Structure, il Interleaving, modeBits int) (*core.An
 	var err error
 	switch st {
 	case L1:
-		lay, err = r.l1Layout(il)
+		lay, err = cacheLayout(il, r.m.L1Sets, r.m.L1Ways, r.m.LineBytes*8)
 	case L2:
-		lay, err = r.l2Layout(il)
+		lay, err = cacheLayout(il, r.m.L2Sets, r.m.L2Ways, r.m.LineBytes*8)
 	case VGPR:
 		lay, preempt, err = r.vgprLayout(il)
 		wordVersions = true
@@ -171,10 +172,10 @@ func (r *Run) analyzerFor(st Structure, il Interleaving, modeBits int) (*core.An
 
 // AVF measures the MB-AVF of an Mx1 fault mode (modeBits adjacent bits
 // along a wordline) in the given structure under the given protection
-// scheme and interleaving layout. It is the unified entry point behind
-// the legacy L1AVF/L2AVF/VGPRAVF methods and the analysis service's
-// query routes; for the VGPR with inter-thread interleaving it applies
-// the paper's detection-preempts-SDC rule.
+// scheme and interleaving layout. For the VGPR with inter-thread
+// interleaving it applies the paper's detection-preempts-SDC rule
+// (registers of a 16-thread group are read in lock-step, so an adjacent
+// thread's DUE fires before an SDC propagates).
 func (r *Run) AVF(st Structure, scheme Scheme, il Interleaving, modeBits int) (AVF, error) {
 	if err := validateQuery(il, modeBits); err != nil {
 		return AVF{}, err
@@ -183,12 +184,19 @@ func (r *Run) AVF(st Structure, scheme Scheme, il Interleaving, modeBits int) (A
 	if err != nil {
 		return AVF{}, err
 	}
-	return r.analyze(a, scheme, modeBits)
+	impl, err := scheme.impl()
+	if err != nil {
+		return AVF{}, err
+	}
+	res, err := a.Analyze(impl, bitgeom.Mx1(modeBits))
+	if err != nil {
+		return AVF{}, err
+	}
+	return fromResult(res), nil
 }
 
 // AVFSeries measures the structure's MB-AVF over time, split into the
-// given number of windows — the unified form of L1AVFSeries and
-// VGPRAVFSeries.
+// given number of windows.
 func (r *Run) AVFSeries(st Structure, scheme Scheme, il Interleaving, modeBits, windows int) (AVFSeries, error) {
 	if err := validateQuery(il, modeBits); err != nil {
 		return AVFSeries{}, err

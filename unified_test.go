@@ -3,16 +3,15 @@ package mbavf
 import (
 	"context"
 	"errors"
-	"reflect"
 	"testing"
 
 	"mbavf/internal/faultrate"
 )
 
-// TestUnifiedAVFEquivalence pins the API redesign's compatibility
-// contract: the deprecated per-structure entry points and the unified
-// Run.AVF produce bit-identical numbers for every structure, scheme and
-// interleaving style.
+// TestUnifiedAVFEquivalence pins Run.AVF, the untiled sweep over the
+// whole run, to the Total of an 8-window Run.AVFSeries, the windowed
+// sweep, for every structure, scheme and interleaving style: the two
+// solve paths must agree bit for bit.
 func TestUnifiedAVFEquivalence(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulates a full workload; skipped in -short (the -race CI leg)")
@@ -33,20 +32,12 @@ func TestUnifiedAVFEquivalence(t *testing.T) {
 					if err != nil {
 						t.Fatalf("AVF(%s,%s,%s,x%d,%d): %v", st, scheme, style, p.factor, p.mode, err)
 					}
-					var want AVF
-					switch st {
-					case L1:
-						want, err = r.L1AVF(scheme, il, p.mode)
-					case L2:
-						want, err = r.L2AVF(scheme, il, p.mode)
-					case VGPR:
-						want, err = r.VGPRAVF(scheme, il, p.mode)
-					}
+					series, err := r.AVFSeries(st, scheme, il, p.mode, 8)
 					if err != nil {
-						t.Fatalf("legacy %s: %v", st, err)
+						t.Fatalf("AVFSeries(%s,%s,%s,x%d,%d): %v", st, scheme, style, p.factor, p.mode, err)
 					}
-					if got != want {
-						t.Errorf("AVF(%s,%s,%s,x%d,%d) = %+v, legacy = %+v", st, scheme, style, p.factor, p.mode, got, want)
+					if got != series.Total {
+						t.Errorf("AVF(%s,%s,%s,x%d,%d) = %+v, windowed total = %+v", st, scheme, style, p.factor, p.mode, got, series.Total)
 					}
 				}
 			}
@@ -54,35 +45,28 @@ func TestUnifiedAVFEquivalence(t *testing.T) {
 	}
 }
 
+// TestUnifiedSeriesEquivalence pins a one-window Run.AVFSeries: its only
+// window spans the whole run, so it must equal the series' Total.
 func TestUnifiedSeriesEquivalence(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulates a full workload; skipped in -short (the -race CI leg)")
 	}
 	r := minife(t)
-	il := Interleaving{Style: StyleLogical, Factor: 2}
-	got, err := r.AVFSeries(L1, SECDED, il, 2, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := r.L1AVFSeries(SECDED, il, 2, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got, want) {
-		t.Errorf("AVFSeries(L1) = %+v, legacy = %+v", got, want)
-	}
-
-	vil := Interleaving{Style: StyleIntraThread, Factor: 2}
-	got, err = r.AVFSeries(VGPR, Parity, vil, 2, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err = r.VGPRAVFSeries(Parity, vil, 2, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got, want) {
-		t.Errorf("AVFSeries(VGPR) = %+v, legacy = %+v", got, want)
+	for _, q := range []struct {
+		st     Structure
+		scheme Scheme
+		il     Interleaving
+	}{
+		{L1, SECDED, Interleaving{Style: StyleLogical, Factor: 2}},
+		{VGPR, Parity, Interleaving{Style: StyleIntraThread, Factor: 2}},
+	} {
+		s, err := r.AVFSeries(q.st, q.scheme, q.il, 2, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(s.Windows) != 1 || s.Windows[0] != s.Total {
+			t.Errorf("AVFSeries(%s, 1 window) = %+v, want one window equal to Total %+v", q.st, s.Windows, s.Total)
+		}
 	}
 }
 
@@ -95,7 +79,7 @@ func TestUnifiedSEREquivalence(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulates a full workload; skipped in -short (the -race CI leg)")
 	}
-	r, err := RunWorkload("kmeans")
+	r, err := RunWorkloadContext(context.Background(), "kmeans")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -193,6 +177,17 @@ func TestBadOptions(t *testing.T) {
 	for _, tc := range cases {
 		if err := tc.call(); !errors.Is(err, ErrBadOption) {
 			t.Errorf("%s: err = %v, want ErrBadOption", tc.name, err)
+		}
+	}
+	// ACELocality shares the query validation: a non-positive fault mode
+	// or factor is a bad option on every structure, never a panic.
+	for _, st := range Structures() {
+		style := st.Styles()[0]
+		for _, q := range []struct{ factor, mode int }{{1, 0}, {1, -3}, {0, 0}, {0, -3}, {0, 2}} {
+			_, err := r.ACELocality(st, Interleaving{Style: style, Factor: q.factor}, q.mode)
+			if !errors.Is(err, ErrBadOption) {
+				t.Errorf("ACELocality(%s, x%d, %d): err = %v, want ErrBadOption", st, q.factor, q.mode, err)
+			}
 		}
 	}
 }
