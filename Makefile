@@ -85,6 +85,8 @@ fuzz-smoke:
 	$(GO) test -run=^$$ -fuzz=FuzzStoreRoundTrip -fuzztime=10s ./internal/store
 	$(GO) test -run=^$$ -fuzz=FuzzPackedTimeline -fuzztime=10s ./internal/core
 	$(GO) test -run=^$$ -fuzz=FuzzTrackerRecording -fuzztime=10s ./internal/lifetime
+	$(GO) test -run=^$$ -fuzz=FuzzParseRange -fuzztime=10s ./internal/store/httpstore
+	$(GO) test -run=^$$ -fuzz=FuzzLeaseCreate -fuzztime=10s ./internal/fabric
 
 clean:
 	$(GO) clean ./...

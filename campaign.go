@@ -3,7 +3,6 @@ package mbavf
 import (
 	"context"
 	"errors"
-	"net/http"
 	"os"
 	"time"
 
@@ -153,9 +152,6 @@ type FabricOptions struct {
 	// ErrorBudget aborts the run after this many failed lease dispatches
 	// (0 = unlimited; every failure retries or falls back in-process).
 	ErrorBudget int
-	// Transport overrides the coordinator's HTTP transport (tests inject
-	// chaos here).
-	Transport http.RoundTripper
 }
 
 // RunCampaign executes a parallel single-bit campaign with panic
@@ -227,7 +223,6 @@ func (ic *InjectionCampaign) RunCampaign(ctx context.Context, cfg CampaignRunCon
 			ShardSize:   cfg.Fabric.ShardSize,
 			LeaseTTL:    cfg.Fabric.LeaseTTL,
 			ErrorBudget: cfg.Fabric.ErrorBudget,
-			Transport:   cfg.Fabric.Transport,
 		}, ic.c)
 		rep, runErr = co.Run(ctx, rc)
 	} else {

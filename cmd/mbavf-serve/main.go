@@ -18,7 +18,6 @@ import (
 	"errors"
 	"flag"
 	"fmt"
-	"net/http"
 	"os"
 	"os/signal"
 	"strings"
@@ -30,6 +29,7 @@ import (
 	"mbavf/internal/serve"
 	"mbavf/internal/store"
 	"mbavf/internal/store/httpstore"
+	"mbavf/internal/wire"
 )
 
 // splitPeers parses the -fabric-workers list, dropping empty entries so
@@ -130,17 +130,7 @@ func main() {
 		FabricPeers:     splitPeers(*fabricPeers),
 		FabricShotDelay: *shotDelay,
 	})
-	// ReadHeaderTimeout and ReadTimeout bound how long a client may take
-	// to deliver a request (slow-loris defense); request bodies here are
-	// small JSON documents, so 30s is generous. Response writing stays
-	// unbounded — synchronous AVF queries legitimately compute for
-	// minutes before the first byte.
-	hs := &http.Server{
-		Addr:              *addr,
-		Handler:           s.Handler(),
-		ReadHeaderTimeout: 10 * time.Second,
-		ReadTimeout:       30 * time.Second,
-	}
+	hs := wire.NewServer(*addr, s.Handler())
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()

@@ -1,15 +1,12 @@
 package fabric
 
 import (
-	"bytes"
 	"context"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
-	"math/rand"
 	"net/http"
 	"sort"
 	"sync"
@@ -18,6 +15,7 @@ import (
 
 	"mbavf/internal/inject"
 	"mbavf/internal/obs"
+	"mbavf/internal/wire"
 )
 
 // Coordinator-side observability; /metrics exposes them as
@@ -44,8 +42,8 @@ var (
 // more lease dispatches failed than Config.ErrorBudget allows.
 var ErrDispatchBudget = errors.New("fabric: dispatch error budget exceeded")
 
-// errChecksum marks a lease whose result payload failed checksum
-// validation — the reject-and-redispatch path.
+// errChecksum marks a lease response that failed validation — a body
+// without its checksum, or a result that does not fit its lease.
 var errChecksum = errors.New("fabric: response checksum mismatch")
 
 // errLeaseLost marks a poll answered with 404: the worker restarted (or
@@ -78,8 +76,8 @@ type Config struct {
 	// MaxAttempts bounds dispatch attempts per lease before the
 	// coordinator executes it in-process (default 4).
 	MaxAttempts int
-	// RetryBase/RetryMax shape the exponential backoff between attempts;
-	// jitter of ±50% is applied from a seeded RNG (defaults 100ms / 5s).
+	// RetryBase/RetryMax shape the exponential backoff between attempts,
+	// jittered ±50% by wire.Backoff (defaults 100ms / 5s).
 	RetryBase time.Duration
 	RetryMax  time.Duration
 	// ErrorBudget aborts the whole run once more than this many lease
@@ -91,10 +89,6 @@ type Config struct {
 	// a health probe may reinstate it (default 30s).
 	QuarantineAfter int
 	QuarantineFor   time.Duration
-	// Concurrency bounds in-flight leases (default 2×len(Workers)).
-	Concurrency int
-	// HTTPTimeout bounds each individual fabric request (default 10s).
-	HTTPTimeout time.Duration
 	// ObsScrapeInterval is how often the coordinator scrapes each
 	// worker's /fabric/v1/obs snapshot into the merged mbavf_fleet_*
 	// series while a run is in flight (default 1s). Scraping only
@@ -107,8 +101,6 @@ type Config struct {
 	// LocalAVF evaluates AVF queries in-process when no worker can —
 	// the graceful-degradation path for KindAVF leases.
 	LocalAVF AVFEvaluator
-	// Seed drives retry jitter; it has no effect on results (default 1).
-	Seed int64
 }
 
 func (c Config) withDefaults() Config {
@@ -139,17 +131,8 @@ func (c Config) withDefaults() Config {
 	if c.QuarantineFor <= 0 {
 		c.QuarantineFor = 30 * time.Second
 	}
-	if c.Concurrency <= 0 {
-		c.Concurrency = max(2*len(c.Workers), 1)
-	}
-	if c.HTTPTimeout <= 0 {
-		c.HTTPTimeout = 10 * time.Second
-	}
 	if c.ObsScrapeInterval <= 0 {
 		c.ObsScrapeInterval = time.Second
-	}
-	if c.Seed == 0 {
-		c.Seed = 1
 	}
 	return c
 }
@@ -176,9 +159,6 @@ type Coordinator struct {
 	workers  []*workerRef
 	rr       atomic.Uint64
 	failures atomic.Int64
-
-	jmu sync.Mutex
-	jrn *rand.Rand
 }
 
 // New builds a coordinator. campaign is the local fallback executor and
@@ -189,8 +169,7 @@ func New(cfg Config, campaign *inject.Campaign) *Coordinator {
 	co := &Coordinator{
 		cfg:    cfg,
 		local:  campaign,
-		client: &http.Client{Transport: cfg.Transport, Timeout: cfg.HTTPTimeout},
-		jrn:    rand.New(rand.NewSource(cfg.Seed)),
+		client: &http.Client{Transport: cfg.Transport},
 	}
 	if campaign != nil {
 		co.workload = campaign.Workload()
@@ -430,7 +409,8 @@ func (co *Coordinator) dispatch(ctx context.Context, jobs []*leaseJob) <-chan le
 	in := make(chan *leaseJob)
 	out := make(chan leaseOutcome)
 	var wg sync.WaitGroup
-	for range min(co.cfg.Concurrency, len(jobs)) {
+	// At most two leases in flight per worker.
+	for range min(max(2*len(co.workers), 1), len(jobs)) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
@@ -499,7 +479,7 @@ func (co *Coordinator) runLease(ctx context.Context, j *leaseJob) leaseOutcome {
 		if co.cfg.ErrorBudget > 0 && co.failures.Add(1) > int64(co.cfg.ErrorBudget) {
 			return leaseOutcome{job: j, err: fmt.Errorf("%w (lease %s: %v)", ErrDispatchBudget, j.req.ID, err)}
 		}
-		co.sleepBackoff(ctx, attempt)
+		_ = wire.Backoff(ctx, attempt, co.cfg.RetryBase, co.cfg.RetryMax) // ctx is checked at the loop top
 	}
 }
 
@@ -571,9 +551,7 @@ func (co *Coordinator) executeLease(ctx context.Context, w *workerRef, j *leaseJ
 		switch st.State {
 		case LeaseDone:
 			if err := co.verify(st, req); err != nil {
-				obsChecksumRejects.Add(1)
-				obs.LogEvent(obs.Event{Type: "lease.checksum_reject", Campaign: j.trace, Lease: req.ID, Worker: w.url, Note: err.Error()})
-				obs.TraceAsyncInstant("campaign", "checksum-reject "+req.ID, j.trace)
+				co.reject(w, j, err)
 				co.release(w, req.ID)
 				return st, held, err
 			}
@@ -627,9 +605,9 @@ func (co *Coordinator) executeLease(ctx context.Context, w *workerRef, j *leaseJ
 	}
 }
 
-// verify recomputes the result checksum from the decoded payload and
-// cross-checks the payload against the lease — the defense against
-// corrupt (or fabricated) responses.
+// verify cross-checks a done lease's payload against the lease — the
+// defense against fabricated responses; the body checksum already
+// vouched for the bytes.
 func (co *Coordinator) verify(st *LeaseState, req LeaseRequest) error {
 	switch req.Kind {
 	case KindShots:
@@ -641,86 +619,96 @@ func (co *Coordinator) verify(st *LeaseState, req LeaseRequest) error {
 				return fmt.Errorf("%w: lease %s returned out-of-range shot %d", errChecksum, req.ID, s.Index)
 			}
 		}
-		if ShotsChecksum(st.Shots) != st.Checksum {
-			return fmt.Errorf("%w: lease %s", errChecksum, req.ID)
-		}
 	case KindAVF:
 		if len(st.Items) != len(req.Queries) {
 			return fmt.Errorf("%w: lease %s returned %d items, want %d", errChecksum, req.ID, len(st.Items), len(req.Queries))
-		}
-		if ItemsChecksum(st.Items) != st.Checksum {
-			return fmt.Errorf("%w: lease %s", errChecksum, req.ID)
 		}
 	}
 	return nil
 }
 
-// traceHeaders stamps a fabric request with the campaign trace ID, the
-// lease ID, and this coordinator's span identity, so the worker's trace
-// events correlate with the coordinator's after a merge.
-func traceHeaders(hreq *http.Request, j *leaseJob) {
-	if j.trace == "" {
-		return
+// reject counts and logs a lease response that failed validation.
+func (co *Coordinator) reject(w *workerRef, j *leaseJob, err error) {
+	obsChecksumRejects.Add(1)
+	obs.LogEvent(obs.Event{Type: "lease.checksum_reject", Campaign: j.trace, Lease: j.req.ID, Worker: w.url, Note: err.Error()})
+	obs.TraceAsyncInstant("campaign", "checksum-reject "+j.req.ID, j.trace)
+}
+
+// maxResponseBytes bounds every response body the coordinator reads.
+const maxResponseBytes = 64 << 20
+
+// detachedTimeout bounds the requests that must work while a run tears
+// down (release, the final obs scrape) and the health probe.
+const detachedTimeout = 2 * time.Second
+
+// leaseCall sends one lease request to w — the POST, or a poll — and
+// decodes the LeaseState it answers, with the status. Every lease
+// response must carry a matching checksum: one that fails the check,
+// or has none, is a checksum reject. An error status without a
+// checksum (a proxy's 503) is no lease response; it is returned as a
+// status error.
+func (co *Coordinator) leaseCall(ctx context.Context, w *workerRef, j *leaseJob, method, url string, body []byte) (*LeaseState, int, error) {
+	// The trace headers carry the campaign trace ID, the lease ID and
+	// this coordinator's span identity, so the worker's trace events
+	// correlate with the coordinator's after a merge.
+	hdr := http.Header{}
+	if body != nil {
+		hdr.Set("Content-Type", "application/json")
 	}
-	hreq.Header.Set(HeaderTraceID, j.trace)
-	hreq.Header.Set(HeaderLeaseID, j.req.ID)
-	hreq.Header.Set(HeaderParentSpan, "campaign:"+j.trace)
+	if j.trace != "" {
+		hdr.Set(HeaderTraceID, j.trace)
+		hdr.Set(HeaderLeaseID, j.req.ID)
+		hdr.Set(HeaderParentSpan, "campaign:"+j.trace)
+	}
+	resp, err := wire.Do(ctx, co.client, method, url, hdr, body, wire.Limit(maxResponseBytes))
+	if err == nil && resp.Header.Get(wire.ChecksumHeader) == "" {
+		if resp.Status/100 != 2 {
+			return nil, resp.Status, fmt.Errorf("fabric: %s %s: %w", method, url, resp.Err())
+		}
+		err = fmt.Errorf("%w: %s %s answered without one", errChecksum, method, url)
+	}
+	if err != nil {
+		if errors.Is(err, wire.ErrChecksum) || errors.Is(err, errChecksum) {
+			co.reject(w, j, err)
+		}
+		return nil, 0, err
+	}
+	var st LeaseState
+	if err := json.Unmarshal(resp.Body, &st); err != nil {
+		return nil, resp.Status, fmt.Errorf("fabric: decoding lease response from %s: %w", w.url, err)
+	}
+	return &st, resp.Status, nil
 }
 
 // post creates (or re-attaches to) a lease on a worker.
 func (co *Coordinator) post(ctx context.Context, w *workerRef, j *leaseJob) (*LeaseState, error) {
-	req := j.req
-	body, err := json.Marshal(req)
+	body, err := json.Marshal(j.req)
 	if err != nil {
 		return nil, err
 	}
-	hreq, err := http.NewRequestWithContext(ctx, http.MethodPost, w.url+PathLease, bytes.NewReader(body))
-	if err != nil {
+	st, status, err := co.leaseCall(ctx, w, j, http.MethodPost, w.url+PathLease, body)
+	switch {
+	case err != nil:
 		return nil, err
+	case status != http.StatusOK && status != http.StatusAccepted:
+		return st, fmt.Errorf("fabric: %s refused lease %s: %d %s", w.url, j.req.ID, status, st.Error)
 	}
-	hreq.Header.Set("Content-Type", "application/json")
-	traceHeaders(hreq, j)
-	resp, err := co.client.Do(hreq)
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	var st LeaseState
-	if derr := json.NewDecoder(io.LimitReader(resp.Body, 64<<20)).Decode(&st); derr != nil {
-		return nil, fmt.Errorf("fabric: decoding lease response from %s: %w", w.url, derr)
-	}
-	switch resp.StatusCode {
-	case http.StatusOK, http.StatusAccepted:
-		return &st, nil
-	default:
-		return &st, fmt.Errorf("fabric: %s refused lease %s: %d %s", w.url, req.ID, resp.StatusCode, st.Error)
-	}
+	return st, nil
 }
 
 // poll reads a lease's state; a 404 means the worker no longer holds it.
 func (co *Coordinator) poll(ctx context.Context, w *workerRef, j *leaseJob) (*LeaseState, error) {
 	id := j.req.ID
-	hreq, err := http.NewRequestWithContext(ctx, http.MethodGet, w.url+PathLease+"/"+id, nil)
-	if err != nil {
-		return nil, err
-	}
-	traceHeaders(hreq, j)
-	resp, err := co.client.Do(hreq)
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode == http.StatusNotFound {
+	st, status, err := co.leaseCall(ctx, w, j, http.MethodGet, w.url+PathLease+"/"+id, nil)
+	switch {
+	case status == http.StatusNotFound:
 		return nil, fmt.Errorf("%w: %s on %s", errLeaseLost, id, w.url)
+	case err != nil:
+		return nil, err
+	case status != http.StatusOK:
+		return nil, fmt.Errorf("fabric: poll %s on %s: status %d", id, w.url, status)
 	}
-	if resp.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("fabric: poll %s on %s: status %d", id, w.url, resp.StatusCode)
-	}
-	var st LeaseState
-	if err := json.NewDecoder(io.LimitReader(resp.Body, 64<<20)).Decode(&st); err != nil {
-		return nil, fmt.Errorf("fabric: decoding poll response from %s: %w", w.url, err)
-	}
-	return &st, nil
+	return st, nil
 }
 
 // release best-effort cancels a lease the coordinator is abandoning, so
@@ -728,33 +716,17 @@ func (co *Coordinator) poll(ctx context.Context, w *workerRef, j *leaseJob) (*Le
 // short detached context: release must work even while ctx is tearing
 // down (SIGINT drain).
 func (co *Coordinator) release(w *workerRef, id string) {
-	ctx, cancel := context.WithTimeout(context.Background(), min(co.cfg.HTTPTimeout, 2*time.Second))
+	ctx, cancel := context.WithTimeout(context.Background(), detachedTimeout)
 	defer cancel()
-	hreq, err := http.NewRequestWithContext(ctx, http.MethodDelete, w.url+PathLease+"/"+id, nil)
-	if err != nil {
-		return
-	}
-	if resp, err := co.client.Do(hreq); err == nil {
-		io.Copy(io.Discard, resp.Body)
-		resp.Body.Close()
-	}
+	_, _ = wire.Do(ctx, co.client, http.MethodDelete, w.url+PathLease+"/"+id, nil, nil, wire.Limit(maxResponseBytes))
 }
 
 // probe health-checks a worker (used to reinstate quarantined workers).
 func (co *Coordinator) probe(ctx context.Context, w *workerRef) bool {
-	ctx, cancel := context.WithTimeout(ctx, min(co.cfg.HTTPTimeout, 2*time.Second))
+	ctx, cancel := context.WithTimeout(ctx, detachedTimeout)
 	defer cancel()
-	hreq, err := http.NewRequestWithContext(ctx, http.MethodGet, w.url+PathHealth, nil)
-	if err != nil {
-		return false
-	}
-	resp, err := co.client.Do(hreq)
-	if err != nil {
-		return false
-	}
-	defer resp.Body.Close()
-	io.Copy(io.Discard, io.LimitReader(resp.Body, 1<<16))
-	return resp.StatusCode == http.StatusOK
+	resp, err := wire.Do(ctx, co.client, http.MethodGet, w.url+PathHealth, nil, nil, wire.Limit(maxResponseBytes))
+	return err == nil && resp.Status == http.StatusOK
 }
 
 // pickWorker returns the next healthy worker in round-robin order, nil
@@ -864,7 +836,7 @@ func (co *Coordinator) startFleetScrape(ctx context.Context) (stop func()) {
 	return func() {
 		close(done)
 		<-finished
-		final, cancel := context.WithTimeout(context.Background(), min(co.cfg.HTTPTimeout, 2*time.Second))
+		final, cancel := context.WithTimeout(context.Background(), detachedTimeout)
 		defer cancel()
 		co.scrapeFleet(final)
 	}
@@ -891,38 +863,15 @@ func (co *Coordinator) scrapeFleet(ctx context.Context) {
 // scrapeObs fetches one worker's /fabric/v1/obs registry snapshot.
 func (co *Coordinator) scrapeObs(ctx context.Context, w *workerRef) (obs.RegistrySnapshot, error) {
 	var snap obs.RegistrySnapshot
-	hreq, err := http.NewRequestWithContext(ctx, http.MethodGet, w.url+PathObs, nil)
+	resp, err := wire.Do(ctx, co.client, http.MethodGet, w.url+PathObs, nil, nil, wire.Limit(maxResponseBytes))
 	if err != nil {
 		return snap, err
 	}
-	resp, err := co.client.Do(hreq)
-	if err != nil {
-		return snap, err
+	if resp.Status != http.StatusOK {
+		return snap, fmt.Errorf("fabric: obs scrape of %s: status %d", w.url, resp.Status)
 	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		io.Copy(io.Discard, io.LimitReader(resp.Body, 1<<16))
-		return snap, fmt.Errorf("fabric: obs scrape of %s: status %d", w.url, resp.StatusCode)
-	}
-	if err := json.NewDecoder(io.LimitReader(resp.Body, 16<<20)).Decode(&snap); err != nil {
+	if err := json.Unmarshal(resp.Body, &snap); err != nil {
 		return snap, fmt.Errorf("fabric: decoding obs snapshot from %s: %w", w.url, err)
 	}
 	return snap, nil
-}
-
-// sleepBackoff waits the attempt's exponential backoff with ±50% jitter
-// (seeded, so tests are reproducible), returning early on cancellation.
-func (co *Coordinator) sleepBackoff(ctx context.Context, attempt int) {
-	d := co.cfg.RetryBase << uint(min(attempt, 16))
-	if d > co.cfg.RetryMax || d <= 0 {
-		d = co.cfg.RetryMax
-	}
-	co.jmu.Lock()
-	jitter := 0.5 + co.jrn.Float64() // [0.5, 1.5)
-	co.jmu.Unlock()
-	d = time.Duration(float64(d) * jitter)
-	select {
-	case <-time.After(d):
-	case <-ctx.Done():
-	}
 }

@@ -12,8 +12,9 @@
 // internal/inject), which makes re-executing a shot anywhere — a second
 // worker after a steal, the coordinator itself after total fleet loss —
 // produce the identical Shot value. The coordinator therefore never has
-// to trust a worker's scheduling, only its arithmetic, and the response
-// checksum guards the wire in between.
+// to trust a worker's scheduling, only its arithmetic, and the body
+// checksum every lease request and response carries (wire.ChecksumHeader)
+// guards the wire in between.
 //
 // Lease lifecycle:
 //
@@ -33,8 +34,6 @@
 package fabric
 
 import (
-	"crypto/sha256"
-	"encoding/hex"
 	"encoding/json"
 	"fmt"
 
@@ -135,11 +134,6 @@ type LeaseState struct {
 	Shots []inject.Shot `json:"shots,omitempty"`
 	Items []AVFItem     `json:"items,omitempty"`
 
-	// Checksum is the hex SHA-256 of the canonical JSON of the result
-	// payload (Shots or Items); the coordinator recomputes it and
-	// rejects-and-redispatches on mismatch.
-	Checksum string `json:"checksum,omitempty"`
-
 	Error string `json:"error,omitempty"`
 	// Fatal marks a failure retrying elsewhere cannot fix (golden
 	// digest mismatch, malformed lease); the coordinator skips straight
@@ -152,27 +146,6 @@ type Health struct {
 	Status string `json:"status"`
 	Leases int    `json:"leases"`
 }
-
-// payloadChecksum is the response checksum both sides compute: hex
-// SHA-256 over the canonical JSON encoding of the payload. Go's
-// encoding/json is deterministic for struct slices (fixed field order,
-// no map iteration), so worker and coordinator agree byte-for-byte.
-func payloadChecksum(payload any) string {
-	data, err := json.Marshal(payload)
-	if err != nil {
-		// The payload types marshal by construction; a failure here is a
-		// programming error, not a runtime condition.
-		panic(fmt.Sprintf("fabric: checksum marshal: %v", err))
-	}
-	sum := sha256.Sum256(data)
-	return hex.EncodeToString(sum[:])
-}
-
-// ShotsChecksum is the checksum of a shot-range result payload.
-func ShotsChecksum(shots []inject.Shot) string { return payloadChecksum(shots) }
-
-// ItemsChecksum is the checksum of an AVF batch result payload.
-func ItemsChecksum(items []AVFItem) string { return payloadChecksum(items) }
 
 // Validate rejects malformed lease requests before any work happens.
 func (r LeaseRequest) Validate() error {

@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
@@ -17,6 +18,7 @@ import (
 	"mbavf/internal/inject"
 	"mbavf/internal/obs"
 	"mbavf/internal/sim"
+	"mbavf/internal/wire"
 )
 
 // synthWorkload builds a deterministic synthetic workload: every run
@@ -155,7 +157,7 @@ func TestBitIdenticalAcrossFleets(t *testing.T) {
 				{"three-workers", fastConfig(w1.URL, w2.URL, w3.URL)},
 			}
 			chaosCfg := fastConfig(w1.URL, w2.URL, w3.URL)
-			chaosCfg.Transport = NewChaosTransport(ChaosConfig{
+			chaosCfg.Transport = wire.NewChaosTransport(wire.ChaosConfig{
 				Seed:         int64(len(name)) + 41,
 				DropRequest:  0.15,
 				DropResponse: 0.10,
@@ -295,24 +297,22 @@ func TestUnreachableFleetFallsBackLocal(t *testing.T) {
 func stallServer(t *testing.T) *httptest.Server {
 	t.Helper()
 	mux := http.NewServeMux()
-	state := func(rw http.ResponseWriter, id string) {
-		rw.Header().Set("Content-Type", "application/json")
-		_ = json.NewEncoder(rw).Encode(LeaseState{ID: id, State: LeaseRunning})
+	state := func(rw http.ResponseWriter, status int, id string) {
+		wire.WriteJSON(rw, status, LeaseState{ID: id, State: LeaseRunning})
 	}
 	mux.HandleFunc("POST "+PathLease, func(rw http.ResponseWriter, r *http.Request) {
 		var req LeaseRequest
 		_ = json.NewDecoder(r.Body).Decode(&req)
-		rw.WriteHeader(http.StatusAccepted)
-		state(rw, req.ID)
+		state(rw, http.StatusAccepted, req.ID)
 	})
 	mux.HandleFunc("GET "+PathLease+"/{id}", func(rw http.ResponseWriter, r *http.Request) {
-		state(rw, r.PathValue("id"))
+		state(rw, http.StatusOK, r.PathValue("id"))
 	})
 	mux.HandleFunc("DELETE "+PathLease+"/{id}", func(rw http.ResponseWriter, r *http.Request) {
-		state(rw, r.PathValue("id"))
+		state(rw, http.StatusOK, r.PathValue("id"))
 	})
 	mux.HandleFunc("GET "+PathHealth, func(rw http.ResponseWriter, _ *http.Request) {
-		writeLeaseJSON(rw, http.StatusOK, Health{Status: "ok"})
+		wire.WriteJSON(rw, http.StatusOK, Health{Status: "ok"})
 	})
 	srv := httptest.NewServer(mux)
 	t.Cleanup(srv.Close)
@@ -361,7 +361,7 @@ func corruptServer(t *testing.T) *httptest.Server {
 		shots := []inject.Shot{{Index: 0, Outcome: inject.OutcomeSDC}}
 		_ = json.NewEncoder(rw).Encode(LeaseState{
 			ID: id, State: LeaseDone, Completed: 1, Total: 1,
-			Shots: shots, Checksum: "feedfacefeedface",
+			Shots: shots,
 		})
 	}
 	mux.HandleFunc("POST "+PathLease, func(rw http.ResponseWriter, r *http.Request) {
@@ -374,7 +374,7 @@ func corruptServer(t *testing.T) *httptest.Server {
 		done(rw, r.PathValue("id"))
 	})
 	mux.HandleFunc("GET "+PathHealth, func(rw http.ResponseWriter, _ *http.Request) {
-		writeLeaseJSON(rw, http.StatusOK, Health{Status: "ok"})
+		wire.WriteJSON(rw, http.StatusOK, Health{Status: "ok"})
 	})
 	srv := httptest.NewServer(mux)
 	t.Cleanup(srv.Close)
@@ -470,8 +470,14 @@ func TestWorkerLeaseLifecycle(t *testing.T) {
 	if st.State != LeaseDone || len(st.Shots) != 4 {
 		t.Fatalf("lease state %q with %d shots, want done with 4", st.State, len(st.Shots))
 	}
-	if ShotsChecksum(st.Shots) != st.Checksum {
-		t.Error("worker checksum does not validate")
+	if resp, err := client.Get(srv.URL + PathLease + "/" + req.ID); err != nil {
+		t.Fatal(err)
+	} else {
+		body, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.Header.Get(wire.ChecksumHeader) != wire.Checksum(body) {
+			t.Error("worker checksum does not validate")
+		}
 	}
 	for i, s := range st.Shots {
 		if want := campaign.RunShot(testSeed, i); !reflect.DeepEqual(want, s) {
@@ -517,6 +523,32 @@ func TestWorkerLeaseLifecycle(t *testing.T) {
 	huge.ID = strings.Repeat("x", maxLeaseBytes)
 	if st, code := post(huge); code != http.StatusRequestEntityTooLarge || !st.Fatal {
 		t.Errorf("oversized POST: status %d fatal %v, want 413 fatal", code, st.Fatal)
+	}
+
+	// A lease damaged in transit — "seed":7 flipped to "seed":5, one bit
+	// — no longer matches the checksum it was sent with. It is refused
+	// 400, not fatally (a re-sent copy can succeed), and never starts.
+	flip := req
+	flip.ID = "shots:test:damaged"
+	sent, _ := json.Marshal(flip)
+	damaged := bytes.Replace(sent, []byte(`"seed":7`), []byte(`"seed":5`), 1)
+	if bytes.Equal(damaged, sent) {
+		t.Fatal("lease body does not contain \"seed\":7")
+	}
+	hreq, _ := http.NewRequest(http.MethodPost, srv.URL+PathLease, bytes.NewReader(damaged))
+	hreq.Header.Set(wire.ChecksumHeader, wire.Checksum(sent))
+	resp, err := client.Do(hreq)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var dst LeaseState
+	_ = json.NewDecoder(resp.Body).Decode(&dst)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest || dst.Fatal {
+		t.Errorf("damaged POST: status %d fatal %v, want 400 not fatal", resp.StatusCode, dst.Fatal)
+	}
+	if _, code := get(flip.ID); code != http.StatusNotFound {
+		t.Errorf("poll after damaged POST: status %d, want 404", code)
 	}
 }
 
@@ -615,7 +647,7 @@ func TestChaosTransportInjects(t *testing.T) {
 	}))
 	t.Cleanup(srv.Close)
 
-	drop := NewChaosTransport(ChaosConfig{DropRequest: 1}, nil)
+	drop := wire.NewChaosTransport(wire.ChaosConfig{DropRequest: 1}, nil)
 	if _, err := (&http.Client{Transport: drop}).Get(srv.URL); err == nil {
 		t.Error("DropRequest=1 let a request through")
 	}
@@ -623,7 +655,7 @@ func TestChaosTransportInjects(t *testing.T) {
 		t.Error("drop not recorded")
 	}
 
-	clean := NewChaosTransport(ChaosConfig{}, nil)
+	clean := wire.NewChaosTransport(wire.ChaosConfig{}, nil)
 	resp, err := (&http.Client{Transport: clean}).Get(srv.URL)
 	if err != nil {
 		t.Fatal(err)
@@ -636,7 +668,7 @@ func TestChaosTransportInjects(t *testing.T) {
 		t.Errorf("zero-probability chaos mangled the response: %v %+v", err, out)
 	}
 
-	corrupt := NewChaosTransport(ChaosConfig{Corrupt: 1, Seed: 3}, nil)
+	corrupt := wire.NewChaosTransport(wire.ChaosConfig{Corrupt: 1, Seed: 3}, nil)
 	resp2, err := (&http.Client{Transport: corrupt}).Get(srv.URL)
 	if err != nil {
 		t.Fatal(err)

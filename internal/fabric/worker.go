@@ -13,6 +13,7 @@ import (
 	"mbavf/internal/inject"
 	"mbavf/internal/obs"
 	"mbavf/internal/sim"
+	"mbavf/internal/wire"
 	"mbavf/internal/workloads"
 )
 
@@ -112,7 +113,6 @@ type workerLease struct {
 	completed int
 	shots     []inject.Shot
 	items     []AVFItem
-	checksum  string
 	errMsg    string
 	fatal     bool
 	lastPoll  time.Time
@@ -187,12 +187,6 @@ func (w *Worker) sweep() {
 	obsWLeaseActive.Set(int64(len(w.leases)))
 }
 
-func writeLeaseJSON(rw http.ResponseWriter, status int, v any) {
-	rw.Header().Set("Content-Type", "application/json")
-	rw.WriteHeader(status)
-	_ = json.NewEncoder(rw).Encode(v)
-}
-
 // maxLeaseBytes caps a lease request body; a lease of a full 256-query
 // AVF batch is under 40 KB.
 const maxLeaseBytes = 1 << 20
@@ -200,24 +194,24 @@ const maxLeaseBytes = 1 << 20
 func (w *Worker) handleCreate(rw http.ResponseWriter, r *http.Request) {
 	w.sweep()
 	var req LeaseRequest
-	if err := json.NewDecoder(http.MaxBytesReader(rw, r.Body, maxLeaseBytes)).Decode(&req); err != nil {
-		status := http.StatusBadRequest
-		if errors.As(err, new(*http.MaxBytesError)) {
-			status = http.StatusRequestEntityTooLarge
-		}
-		writeLeaseJSON(rw, status, LeaseState{Error: "decoding lease: " + err.Error(), Fatal: true})
+	if err := wire.DecodeJSON(rw, r, maxLeaseBytes, &req); err != nil {
+		// A body damaged in transit is the one refusal a re-sent copy
+		// can cure.
+		var be *wire.BodyError
+		errors.As(err, &be)
+		wire.WriteJSON(rw, be.Status, LeaseState{Error: "decoding lease: " + err.Error(), Fatal: !errors.Is(err, wire.ErrChecksum)})
 		return
 	}
 	if err := req.Validate(); err != nil {
-		writeLeaseJSON(rw, http.StatusBadRequest, LeaseState{ID: req.ID, Error: err.Error(), Fatal: true})
+		wire.WriteJSON(rw, http.StatusBadRequest, LeaseState{ID: req.ID, Error: err.Error(), Fatal: true})
 		return
 	}
 	if req.Kind == KindAVF && w.cfg.AVF == nil {
-		writeLeaseJSON(rw, http.StatusBadRequest, LeaseState{ID: req.ID, Error: "fabric: worker has no AVF evaluator", Fatal: true})
+		wire.WriteJSON(rw, http.StatusBadRequest, LeaseState{ID: req.ID, Error: "fabric: worker has no AVF evaluator", Fatal: true})
 		return
 	}
 	if w.base.Err() != nil {
-		writeLeaseJSON(rw, http.StatusServiceUnavailable, LeaseState{ID: req.ID, Error: "fabric: worker shutting down"})
+		wire.WriteJSON(rw, http.StatusServiceUnavailable, LeaseState{ID: req.ID, Error: "fabric: worker shutting down"})
 		return
 	}
 
@@ -227,7 +221,7 @@ func (w *Worker) handleCreate(rw http.ResponseWriter, r *http.Request) {
 		// lost, or a restarted coordinator re-dispatched a lease this
 		// worker still holds. Either way the work must not run twice.
 		w.mu.Unlock()
-		writeLeaseJSON(rw, http.StatusOK, l.snapshot())
+		wire.WriteJSON(rw, http.StatusOK, l.snapshot())
 		return
 	}
 	ctx, cancel := context.WithCancel(w.base)
@@ -242,7 +236,7 @@ func (w *Worker) handleCreate(rw http.ResponseWriter, r *http.Request) {
 	obs.TraceAsyncBegin("campaign", "lease "+req.ID, l.trace)
 
 	go w.execute(ctx, l)
-	writeLeaseJSON(rw, http.StatusAccepted, l.snapshot())
+	wire.WriteJSON(rw, http.StatusAccepted, l.snapshot())
 }
 
 func (w *Worker) handleGet(rw http.ResponseWriter, r *http.Request) {
@@ -251,14 +245,14 @@ func (w *Worker) handleGet(rw http.ResponseWriter, r *http.Request) {
 	l, ok := w.leases[r.PathValue("id")]
 	w.mu.Unlock()
 	if !ok {
-		writeLeaseJSON(rw, http.StatusNotFound, LeaseState{ID: r.PathValue("id"), Error: "fabric: unknown lease"})
+		wire.WriteJSON(rw, http.StatusNotFound, LeaseState{ID: r.PathValue("id"), Error: "fabric: unknown lease"})
 		return
 	}
 	l.mu.Lock()
 	l.lastPoll = time.Now() // the heartbeat that keeps the lease alive
 	st := l.snapshotLocked()
 	l.mu.Unlock()
-	writeLeaseJSON(rw, http.StatusOK, st)
+	wire.WriteJSON(rw, http.StatusOK, st)
 }
 
 func (w *Worker) handleDelete(rw http.ResponseWriter, r *http.Request) {
@@ -272,10 +266,10 @@ func (w *Worker) handleDelete(rw http.ResponseWriter, r *http.Request) {
 	obsWLeaseActive.Set(int64(len(w.leases)))
 	w.mu.Unlock()
 	if !ok {
-		writeLeaseJSON(rw, http.StatusNotFound, LeaseState{ID: id, Error: "fabric: unknown lease"})
+		wire.WriteJSON(rw, http.StatusNotFound, LeaseState{ID: id, Error: "fabric: unknown lease"})
 		return
 	}
-	writeLeaseJSON(rw, http.StatusOK, LeaseState{ID: id, State: LeaseFailed, Error: "fabric: lease released"})
+	wire.WriteJSON(rw, http.StatusOK, LeaseState{ID: id, State: LeaseFailed, Error: "fabric: lease released"})
 }
 
 func (w *Worker) handleHealth(rw http.ResponseWriter, _ *http.Request) {
@@ -283,7 +277,7 @@ func (w *Worker) handleHealth(rw http.ResponseWriter, _ *http.Request) {
 	w.mu.Lock()
 	n := len(w.leases)
 	w.mu.Unlock()
-	writeLeaseJSON(rw, http.StatusOK, Health{Status: "ok", Leases: n})
+	wire.WriteJSON(rw, http.StatusOK, Health{Status: "ok", Leases: n})
 }
 
 func (l *workerLease) snapshot() LeaseState {
@@ -304,7 +298,6 @@ func (l *workerLease) snapshotLocked() LeaseState {
 	if l.state == LeaseDone {
 		st.Shots = l.shots
 		st.Items = l.items
-		st.Checksum = l.checksum
 	}
 	return st
 }
@@ -418,7 +411,6 @@ func (w *Worker) executeShots(ctx context.Context, l *workerLease) {
 
 	l.mu.Lock()
 	l.shots = out
-	l.checksum = ShotsChecksum(out)
 	l.state = LeaseDone
 	l.mu.Unlock()
 	obsWLeaseDone.Add(1)
@@ -445,7 +437,6 @@ func (w *Worker) executeAVF(ctx context.Context, l *workerLease) {
 	}
 	l.mu.Lock()
 	l.items = items
-	l.checksum = ItemsChecksum(items)
 	l.state = LeaseDone
 	l.mu.Unlock()
 	obsWLeaseDone.Add(1)

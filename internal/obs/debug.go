@@ -9,6 +9,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"mbavf/internal/wire"
 )
 
 // campaign is the live progress of the most recent injection campaign:
@@ -135,14 +137,7 @@ func ServeDebug(addr string) (string, error) {
 	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
 	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
 	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
-	// Explicit read deadlines so a slow-loris client cannot pin the
-	// listener. WriteTimeout stays unset: pprof profile captures stream
-	// for their requested duration.
-	srv := &http.Server{
-		Handler:           mux,
-		ReadHeaderTimeout: 10 * time.Second,
-		ReadTimeout:       30 * time.Second,
-	}
+	srv := wire.NewServer("", mux)
 	go func() {
 		// The server lives for the process; errors after shutdown are
 		// expected and uninteresting.

@@ -15,14 +15,7 @@ import (
 // KindAVF leases from the coordinator, and as a coordinator it is the
 // in-process fallback when the fleet is unreachable.
 func (s *Server) evaluateAVF(ctx context.Context, q fabric.AVFQuery) (json.RawMessage, error) {
-	resp, err := s.queryAVF(ctx, AVFQuery{
-		Workload:  q.Workload,
-		Structure: q.Structure,
-		Scheme:    q.Scheme,
-		Style:     q.Style,
-		Factor:    q.Factor,
-		ModeBits:  q.ModeBits,
-	})
+	resp, err := s.queryAVF(ctx, AVFQuery(q))
 	if err != nil {
 		return nil, err
 	}
@@ -54,14 +47,7 @@ func (s *Server) mountFabric(mux *http.ServeMux) {
 func (s *Server) batchDistributed(ctx context.Context, queries []AVFQuery) ([]BatchItem, error) {
 	fq := make([]fabric.AVFQuery, len(queries))
 	for i, q := range queries {
-		fq[i] = fabric.AVFQuery{
-			Workload:  q.Workload,
-			Structure: q.Structure,
-			Scheme:    q.Scheme,
-			Style:     q.Style,
-			Factor:    q.Factor,
-			ModeBits:  q.ModeBits,
-		}
+		fq[i] = fabric.AVFQuery(q)
 	}
 	fitems, err := s.coord.RunAVFBatch(ctx, fq)
 	if err != nil {

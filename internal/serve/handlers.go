@@ -15,6 +15,7 @@ import (
 	"mbavf/internal/mttf"
 	"mbavf/internal/obs"
 	"mbavf/internal/store/httpstore"
+	"mbavf/internal/wire"
 	"mbavf/internal/workloads"
 )
 
@@ -125,14 +126,15 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 	_ = enc.Encode(v)
 }
 
-// httpStatus maps an error to its response code: bad options are the
-// client's fault, an oversized body is 413, unknown names are 404,
-// timeouts are 504, drain cancellations are 503, anything else is a
-// server error.
+// httpStatus maps an error to its response code: a refused body keeps
+// its own (413 oversized, 400 malformed), bad options are the client's
+// fault, unknown names are 404, timeouts are 504, drain cancellations
+// are 503, anything else is a server error.
 func httpStatus(err error) int {
+	var be *wire.BodyError
 	switch {
-	case errors.As(err, new(*http.MaxBytesError)):
-		return http.StatusRequestEntityTooLarge
+	case errors.As(err, &be):
+		return be.Status
 	case errors.Is(err, mbavf.ErrBadOption):
 		return http.StatusBadRequest
 	case errors.Is(err, errUnknownWorkload):
@@ -155,18 +157,9 @@ func writeErr(w http.ResponseWriter, err error) {
 const maxBodyBytes = 1 << 20
 
 // decodeBody decodes r's JSON body into v, reading at most maxBodyBytes.
-// An oversized body returns an error httpStatus maps to 413; a malformed
-// one wraps ErrBadOption (400).
+// An oversized body is 413 and a malformed one 400 (see httpStatus).
 func decodeBody(w http.ResponseWriter, r *http.Request, v any) error {
-	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes)).Decode(v)
-	switch {
-	case err == nil:
-		return nil
-	case errors.As(err, new(*http.MaxBytesError)):
-		return fmt.Errorf("decoding body: %w", err)
-	default:
-		return fmt.Errorf("%w: decoding body: %v", mbavf.ErrBadOption, err)
-	}
+	return wire.DecodeJSON(w, r, maxBodyBytes, v)
 }
 
 // Handler builds the service's route table:

@@ -29,8 +29,10 @@
 // happened before the bytes reached the server quarantines exactly as
 // on a local store.
 //
-// The client retries transient failures (network errors, 5xx, 429,
-// checksum mismatches) with exponential backoff and reports everything
+// The client gives every attempt a deadline and reads no more of a
+// response body than the operation can use. It retries transient
+// failures (network errors and expired attempts, 5xx, 429, checksum
+// mismatches) with jittered exponential backoff and reports everything
 // else — including exhaustion — as a plain error, which the run-store
 // treats as transient: the caller falls through to simulation rather
 // than failing the query. The store stays an accelerator, never a
@@ -38,14 +40,10 @@
 package httpstore
 
 import (
-	"bytes"
 	"context"
-	"crypto/sha256"
-	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"strconv"
 	"strings"
@@ -54,15 +52,22 @@ import (
 
 	"mbavf/internal/obs"
 	"mbavf/internal/store/backend"
+	"mbavf/internal/wire"
 )
 
 // Prefix is the URL path prefix of the artifact protocol.
 const Prefix = "/store/v1"
 
-const (
-	checksumHeader = "X-Mbavf-Checksum"
-	modTimeHeader  = "X-Mbavf-Modtime"
-)
+const modTimeHeader = "X-Mbavf-Modtime"
+
+// maxReplyBytes bounds every response that is not an artifact: the
+// catalog (an entry is about 150 bytes, so this is room for hundreds of
+// thousands of artifacts) and the status bodies of PUT and DELETE.
+const maxReplyBytes = 64 << 20
+
+// maxBackoff caps the wait between attempts, as the fabric's default
+// RetryMax caps its own.
+const maxBackoff = 5 * time.Second
 
 // Client-side observability; /metrics exposes these as
 // mbavf_store_http_*. range_reads counting up while bytes_read stays
@@ -75,11 +80,6 @@ var (
 	obsChecksumBad = obs.NewCounter("store.http.checksum_rejects")
 	obsCatalog304  = obs.NewCounter("store.http.catalog_not_modified")
 )
-
-func checksum(data []byte) string {
-	sum := sha256.Sum256(data)
-	return hex.EncodeToString(sum[:])
-}
 
 // Client is the artifact-store backend over HTTP. It is safe for
 // concurrent use.
@@ -100,11 +100,11 @@ type Client struct {
 type Option func(*Client)
 
 // WithHTTPClient substitutes the transport — how the chaos tests inject
-// fabric.NewChaosTransport under the client.
+// wire.NewChaosTransport under the client.
 func WithHTTPClient(hc *http.Client) Option { return func(c *Client) { c.hc = hc } }
 
 // WithRetry sets the total attempt budget per operation and the base
-// backoff between attempts (doubled each retry).
+// backoff between attempts (doubled each retry, jittered ±50%).
 func WithRetry(attempts int, backoff time.Duration) Option {
 	return func(c *Client) {
 		if attempts > 0 {
@@ -145,54 +145,28 @@ func (c *Client) artifactURL(key string) string {
 	return c.base + Prefix + "/artifacts/" + key
 }
 
-// errTransient wraps failures worth retrying (network errors, 5xx,
-// transport-damaged bodies).
-type errTransient struct{ err error }
-
-func (e errTransient) Error() string { return e.err.Error() }
-func (e errTransient) Unwrap() error { return e.err }
-
-// do runs one attempt-budgeted operation. op builds and executes a
-// request and returns its result; failures wrapped in errTransient are
-// retried with exponential backoff, everything else returns
-// immediately.
+// do runs one attempt-budgeted operation. op makes one attempt;
+// failures wire.Transient accepts are retried after wire.Backoff, every
+// other error returns at once.
 func (c *Client) do(ctx context.Context, op func() error) error {
 	var err error
 	for attempt := 0; attempt < c.attempts; attempt++ {
 		if attempt > 0 {
 			obsRetries.Add(1)
-			select {
-			case <-time.After(c.backoff << (attempt - 1)):
-			case <-ctx.Done():
-				return ctx.Err()
+			if werr := wire.Backoff(ctx, attempt-1, c.backoff, maxBackoff); werr != nil {
+				return werr
 			}
 		}
 		obsRequests.Add(1)
 		err = op()
-		var t errTransient
-		if err == nil || !errors.As(err, &t) {
+		if errors.Is(err, wire.ErrChecksum) {
+			obsChecksumBad.Add(1)
+		}
+		if err == nil || !wire.Transient(err) {
 			return err
 		}
 	}
 	return fmt.Errorf("store: http backend gave up after %d attempts: %w", c.attempts, err)
-}
-
-// roundTrip executes one request, mapping network failures to
-// errTransient and draining/closing the body into memory.
-func (c *Client) roundTrip(req *http.Request) (*http.Response, []byte, error) {
-	resp, err := c.hc.Do(req)
-	if err != nil {
-		return nil, nil, errTransient{fmt.Errorf("store: %w", err)}
-	}
-	defer resp.Body.Close()
-	body, err := io.ReadAll(resp.Body)
-	if err != nil {
-		return nil, nil, errTransient{fmt.Errorf("store: reading response: %w", err)}
-	}
-	if resp.StatusCode >= 500 || resp.StatusCode == http.StatusTooManyRequests {
-		return nil, nil, errTransient{fmt.Errorf("store: server answered %s: %s", resp.Status, strings.TrimSpace(string(body)))}
-	}
-	return resp, body, nil
 }
 
 // Get returns the artifact stored under key.
@@ -202,27 +176,19 @@ func (c *Client) Get(ctx context.Context, key string) ([]byte, error) {
 	}
 	var out []byte
 	err := c.do(ctx, func() error {
-		req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.artifactURL(key), nil)
+		resp, err := wire.Do(ctx, c.hc, http.MethodGet, c.artifactURL(key), nil, nil, wire.Limit(maxUploadBytes))
 		if err != nil {
 			return err
 		}
-		resp, body, err := c.roundTrip(req)
-		if err != nil {
-			return err
-		}
-		switch resp.StatusCode {
+		switch resp.Status {
 		case http.StatusOK:
+			out = resp.Body
+			return nil
 		case http.StatusNotFound:
 			return fmt.Errorf("%w: %s", backend.ErrNotFound, key)
 		default:
-			return fmt.Errorf("store: GET %s: %s", key, resp.Status)
+			return fmt.Errorf("store: GET %s: %w", key, resp.Err())
 		}
-		if want := resp.Header.Get(checksumHeader); want != "" && checksum(body) != want {
-			obsChecksumBad.Add(1)
-			return errTransient{fmt.Errorf("store: GET %s: body checksum mismatch (transport damage)", key)}
-		}
-		out = body
-		return nil
 	})
 	return out, err
 }
@@ -230,6 +196,9 @@ func (c *Client) Get(ctx context.Context, key string) ([]byte, error) {
 // ReadSection returns n bytes of the artifact starting at off, via an
 // HTTP Range request. A server that ignores the Range header (answers
 // 200 with the whole blob) still works: the slice is cut client-side.
+// A 206 body is read to at most n+1 bytes, so a server that streams
+// more than it was asked for costs one byte past the range, not the
+// stream.
 func (c *Client) ReadSection(ctx context.Context, key string, off, n int64) ([]byte, error) {
 	if err := backend.CheckKey(key); err != nil {
 		return nil, err
@@ -237,45 +206,37 @@ func (c *Client) ReadSection(ctx context.Context, key string, off, n int64) ([]b
 	if off < 0 || n < 0 {
 		return nil, fmt.Errorf("store: reading %s [%d,+%d): negative range", key, off, n)
 	}
+	rng := http.Header{"Range": {fmt.Sprintf("bytes=%d-%d", off, off+n-1)}}
+	limit := func(status int) int64 {
+		if status == http.StatusPartialContent {
+			return n
+		}
+		return maxUploadBytes
+	}
 	var out []byte
 	err := c.do(ctx, func() error {
-		req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.artifactURL(key), nil)
+		resp, err := wire.Do(ctx, c.hc, http.MethodGet, c.artifactURL(key), rng, nil, limit)
 		if err != nil {
 			return err
 		}
-		req.Header.Set("Range", fmt.Sprintf("bytes=%d-%d", off, off+n-1))
-		resp, body, err := c.roundTrip(req)
-		if err != nil {
-			return err
-		}
-		switch resp.StatusCode {
+		body := resp.Body
+		switch resp.Status {
 		case http.StatusPartialContent:
 			if int64(len(body)) != n {
-				obsChecksumBad.Add(1)
-				return errTransient{fmt.Errorf("store: GET %s range: got %d bytes, want %d", key, len(body), n)}
+				return fmt.Errorf("store: GET %s range: got %d bytes, want %d: %w", key, len(body), n, wire.ErrChecksum)
 			}
 		case http.StatusOK:
-			// Range not honored; verify the whole body, then slice locally.
-			if want := resp.Header.Get(checksumHeader); want != "" && checksum(body) != want {
-				obsChecksumBad.Add(1)
-				return errTransient{fmt.Errorf("store: GET %s range: body checksum mismatch (transport damage)", key)}
-			}
+			// Range not honored: slice the whole body locally.
 			if off+n > int64(len(body)) {
 				return fmt.Errorf("store: reading %s [%d,+%d): out of range (blob is %d bytes)", key, off, n, len(body))
 			}
-			out = body[off : off+n]
-			obsRangeReads.Add(1)
-			return nil
+			body = body[off : off+n]
 		case http.StatusNotFound:
 			return fmt.Errorf("%w: %s", backend.ErrNotFound, key)
 		case http.StatusRequestedRangeNotSatisfiable:
 			return fmt.Errorf("store: reading %s [%d,+%d): out of range", key, off, n)
 		default:
-			return fmt.Errorf("store: GET %s range: %s", key, resp.Status)
-		}
-		if want := resp.Header.Get(checksumHeader); want != "" && checksum(body) != want {
-			obsChecksumBad.Add(1)
-			return errTransient{fmt.Errorf("store: GET %s range: body checksum mismatch (transport damage)", key)}
+			return fmt.Errorf("store: GET %s range: %w", key, resp.Err())
 		}
 		out = body
 		obsRangeReads.Add(1)
@@ -284,38 +245,26 @@ func (c *Client) ReadSection(ctx context.Context, key string, off, n int64) ([]b
 	return out, err
 }
 
-// Put stores data under key. The request carries the body's sha256 so
-// the server can reject a transit-damaged upload (which the client then
-// retries).
+// Put stores data under key. The request carries the body's checksum
+// so the server can reject a transit-damaged upload (which the client
+// then retries).
 func (c *Client) Put(ctx context.Context, key string, data []byte) error {
 	if err := backend.CheckKey(key); err != nil {
 		return err
 	}
-	sum := checksum(data)
+	octets := http.Header{"Content-Type": {"application/octet-stream"}}
 	return c.do(ctx, func() error {
-		req, err := http.NewRequestWithContext(ctx, http.MethodPut, c.artifactURL(key), bytes.NewReader(data))
+		resp, err := wire.Do(ctx, c.hc, http.MethodPut, c.artifactURL(key), octets, data, wire.Limit(maxReplyBytes))
 		if err != nil {
 			return err
 		}
-		req.Header.Set("Content-Type", "application/octet-stream")
-		req.Header.Set(checksumHeader, sum)
-		resp, body, err := c.roundTrip(req)
-		if err != nil {
-			return err
-		}
-		switch resp.StatusCode {
+		switch resp.Status {
 		case http.StatusCreated, http.StatusOK, http.StatusNoContent:
 			return nil
-		case http.StatusBadRequest:
-			// The server validated the checksum and the bytes did not
-			// match: damaged in transit, retry.
-			if strings.Contains(string(body), "checksum") {
-				obsChecksumBad.Add(1)
-				return errTransient{fmt.Errorf("store: PUT %s: %s", key, strings.TrimSpace(string(body)))}
-			}
-			return fmt.Errorf("store: PUT %s: %s: %s", key, resp.Status, strings.TrimSpace(string(body)))
 		default:
-			return fmt.Errorf("store: PUT %s: %s", key, resp.Status)
+			// A 400 naming "checksum" is the server's verdict that the
+			// upload was damaged in transit: transient, so retried.
+			return fmt.Errorf("store: PUT %s: %w", key, resp.Err())
 		}
 	})
 }
@@ -339,20 +288,16 @@ func (c *Client) Stat(ctx context.Context, key string) (backend.KeyInfo, error) 
 	}
 	var out backend.KeyInfo
 	err := c.do(ctx, func() error {
-		req, err := http.NewRequestWithContext(ctx, http.MethodHead, c.artifactURL(key), nil)
+		resp, err := wire.Do(ctx, c.hc, http.MethodHead, c.artifactURL(key), nil, nil, wire.Limit(0))
 		if err != nil {
 			return err
 		}
-		resp, _, err := c.roundTrip(req)
-		if err != nil {
-			return err
-		}
-		switch resp.StatusCode {
+		switch resp.Status {
 		case http.StatusOK:
 		case http.StatusNotFound:
 			return fmt.Errorf("%w: %s", backend.ErrNotFound, key)
 		default:
-			return fmt.Errorf("store: HEAD %s: %s", key, resp.Status)
+			return fmt.Errorf("store: HEAD %s: %w", key, resp.Err())
 		}
 		size, _ := strconv.ParseInt(resp.Header.Get("Content-Length"), 10, 64)
 		var mod time.Time
@@ -389,20 +334,17 @@ func (c *Client) List(ctx context.Context) ([]backend.KeyInfo, error) {
 	c.mu.Lock()
 	etag := c.catalogETag
 	c.mu.Unlock()
+	var hdr http.Header
+	if etag != "" {
+		hdr = http.Header{"If-None-Match": {`"` + etag + `"`}}
+	}
 	var out []backend.KeyInfo
 	err := c.do(ctx, func() error {
-		req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.base+Prefix+"/catalog", nil)
+		resp, err := wire.Do(ctx, c.hc, http.MethodGet, c.base+Prefix+"/catalog", hdr, nil, wire.Limit(maxReplyBytes))
 		if err != nil {
 			return err
 		}
-		if etag != "" {
-			req.Header.Set("If-None-Match", `"`+etag+`"`)
-		}
-		resp, body, err := c.roundTrip(req)
-		if err != nil {
-			return err
-		}
-		switch resp.StatusCode {
+		switch resp.Status {
 		case http.StatusNotModified:
 			obsCatalog304.Add(1)
 			c.mu.Lock()
@@ -411,11 +353,11 @@ func (c *Client) List(ctx context.Context) ([]backend.KeyInfo, error) {
 			return nil
 		case http.StatusOK:
 		default:
-			return fmt.Errorf("store: GET catalog: %s", resp.Status)
+			return fmt.Errorf("store: GET catalog: %w", resp.Err())
 		}
 		var doc catalogDoc
-		if err := json.Unmarshal(body, &doc); err != nil {
-			return errTransient{fmt.Errorf("store: catalog body: %w", err)}
+		if err := json.Unmarshal(resp.Body, &doc); err != nil {
+			return fmt.Errorf("store: catalog body: %w", err)
 		}
 		out = out[:0]
 		for _, e := range doc.Artifacts {
@@ -448,24 +390,20 @@ func (c *Client) delete(ctx context.Context, key string, quarantine bool) error 
 	if err := backend.CheckKey(key); err != nil {
 		return err
 	}
+	url := c.artifactURL(key)
+	if quarantine {
+		url += "?quarantine=1"
+	}
 	return c.do(ctx, func() error {
-		url := c.artifactURL(key)
-		if quarantine {
-			url += "?quarantine=1"
-		}
-		req, err := http.NewRequestWithContext(ctx, http.MethodDelete, url, nil)
+		resp, err := wire.Do(ctx, c.hc, http.MethodDelete, url, nil, nil, wire.Limit(maxReplyBytes))
 		if err != nil {
 			return err
 		}
-		resp, _, err := c.roundTrip(req)
-		if err != nil {
-			return err
-		}
-		switch resp.StatusCode {
+		switch resp.Status {
 		case http.StatusNoContent, http.StatusOK, http.StatusNotFound:
 			return nil
 		default:
-			return fmt.Errorf("store: DELETE %s: %s", key, resp.Status)
+			return fmt.Errorf("store: DELETE %s: %w", key, resp.Err())
 		}
 	})
 }

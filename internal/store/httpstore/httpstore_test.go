@@ -3,6 +3,7 @@ package httpstore_test
 import (
 	"bytes"
 	"context"
+	"errors"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -10,11 +11,11 @@ import (
 	"testing"
 	"time"
 
-	"mbavf/internal/fabric"
 	"mbavf/internal/store/backend"
 	"mbavf/internal/store/httpstore"
 	"mbavf/internal/store/mem"
 	"mbavf/internal/store/storetest"
+	"mbavf/internal/wire"
 )
 
 // newServer mounts the artifact protocol over a fresh mem backend and
@@ -97,6 +98,58 @@ func TestRangeReads(t *testing.T) {
 	}
 }
 
+// TestRangeReadBounded: a server that answers a small Range with an
+// endless 206 body costs the client a byte past the range, not the
+// stream. The transport stops feeding the client at 1 MiB so an
+// unbounded reader fails the test instead of hanging it.
+func TestRangeReadBounded(t *testing.T) {
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		w.WriteHeader(http.StatusPartialContent)
+		chunk := make([]byte, 4096)
+		for r.Context().Err() == nil {
+			if _, err := w.Write(chunk); err != nil {
+				return
+			}
+		}
+	}))
+	defer srv.Close()
+	var consumed atomic.Int64
+	tr := roundTripFunc(func(r *http.Request) (*http.Response, error) {
+		resp, err := srv.Client().Transport.RoundTrip(r)
+		if err == nil {
+			resp.Body = &cappedBody{ReadCloser: resp.Body, n: &consumed}
+		}
+		return resp, err
+	})
+	c := httpstore.New(srv.URL, httpstore.WithHTTPClient(&http.Client{Transport: tr}), httpstore.WithRetry(3, time.Millisecond))
+	if _, err := c.ReadSection(context.Background(), testKey, 0, 16); err == nil {
+		t.Error("ReadSection accepted an endless 206 body")
+	}
+	if n := consumed.Load(); n >= 64<<10 {
+		t.Errorf("ReadSection of 16 bytes consumed %d bytes of the body", n)
+	}
+}
+
+type roundTripFunc func(*http.Request) (*http.Response, error)
+
+func (f roundTripFunc) RoundTrip(r *http.Request) (*http.Response, error) { return f(r) }
+
+// cappedBody counts the body bytes its reader consumes and ends the
+// body with an error at 1 MiB.
+type cappedBody struct {
+	io.ReadCloser
+	n *atomic.Int64
+}
+
+func (b *cappedBody) Read(p []byte) (int, error) {
+	if b.n.Load() >= 1<<20 {
+		return 0, errors.New("test transport: 1 MiB read")
+	}
+	k, err := b.ReadCloser.Read(p)
+	b.n.Add(int64(k))
+	return k, err
+}
+
 // TestPutRetriesChecksumReject pins the upload-integrity loop: a server
 // that rejects the first upload as transit-damaged (400 mentioning
 // "checksum") gets a retried PUT, and the operation succeeds.
@@ -154,7 +207,7 @@ func TestCatalogConditionalFetch(t *testing.T) {
 	}
 }
 
-// TestChaosTransport drives the client through fabric's fault-injecting
+// TestChaosTransport drives the client through wire's fault-injecting
 // transport: dropped connections, injected 503s, and bit-flipped
 // response bodies. Every operation must still converge to the correct
 // bytes — drops and 5xx through retry, corruption through the checksum
@@ -167,7 +220,7 @@ func TestChaosTransport(t *testing.T) {
 	srv := httptest.NewServer(mux)
 	defer srv.Close()
 
-	chaos := fabric.NewChaosTransport(fabric.ChaosConfig{
+	chaos := wire.NewChaosTransport(wire.ChaosConfig{
 		Seed:        7,
 		DropRequest: 0.10,
 		Err5xx:      0.10,

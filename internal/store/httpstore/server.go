@@ -3,20 +3,20 @@ package httpstore
 import (
 	"crypto/sha256"
 	"encoding/hex"
-	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"sort"
 	"strconv"
 	"strings"
 
 	"mbavf/internal/store/backend"
+	"mbavf/internal/wire"
 )
 
-// maxUploadBytes bounds one PUT body; the largest real artifact is
-// single-digit megabytes, so a gigabyte cap only stops abuse.
+// maxUploadBytes bounds one artifact body, uploaded or fetched whole;
+// the largest real artifact is single-digit megabytes, so a gigabyte
+// cap only stops abuse.
 const maxUploadBytes = 1 << 30
 
 // Server exposes any backend over the HTTP artifact protocol. Mounted
@@ -124,11 +124,8 @@ func (s *Server) HandleGet(w http.ResponseWriter, r *http.Request) {
 				httpError(w, http.StatusInternalServerError, "%v", err)
 				return
 			}
-			w.Header().Set(checksumHeader, checksum(data))
 			w.Header().Set("Content-Range", fmt.Sprintf("bytes %d-%d/%d", off, end, info.Bytes))
-			w.Header().Set("Content-Length", strconv.Itoa(len(data)))
-			w.WriteHeader(http.StatusPartialContent)
-			_, _ = w.Write(data)
+			wire.WriteBytes(w, http.StatusPartialContent, data)
 			return
 		}
 		// Unsupported range form: fall through to the whole blob (200),
@@ -143,28 +140,23 @@ func (s *Server) HandleGet(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusInternalServerError, "%v", err)
 		return
 	}
-	w.Header().Set(checksumHeader, checksum(data))
-	w.Header().Set("Content-Length", strconv.Itoa(len(data)))
-	w.WriteHeader(http.StatusOK)
-	_, _ = w.Write(data)
+	wire.WriteBytes(w, http.StatusOK, data)
 }
 
-// HandlePut stores an uploaded artifact. When the request carries
-// X-Mbavf-Checksum, the body must hash to it — a mismatch means the
-// bytes were damaged in transit, answered 400 so the client retries
-// with a fresh copy.
+// HandlePut stores an uploaded artifact. A body over maxUploadBytes is
+// 413. When the request carries X-Mbavf-Checksum, the body must hash to
+// it — a mismatch means the bytes were damaged in transit, answered 400
+// naming "checksum" so the client retries with a fresh copy.
 func (s *Server) HandlePut(w http.ResponseWriter, r *http.Request) {
 	key, ok := pathKey(w, r)
 	if !ok {
 		return
 	}
-	body, err := readBody(r)
+	body, err := wire.ReadBody(w, r, maxUploadBytes)
 	if err != nil {
-		httpError(w, http.StatusBadRequest, "reading body: %v", err)
-		return
-	}
-	if want := r.Header.Get(checksumHeader); want != "" && checksum(body) != want {
-		httpError(w, http.StatusBadRequest, "body checksum mismatch (transport damage)")
+		var be *wire.BodyError
+		errors.As(err, &be)
+		httpError(w, be.Status, "%v", err)
 		return
 	}
 	if err := s.b.Put(r.Context(), key, body); err != nil {
@@ -172,11 +164,6 @@ func (s *Server) HandlePut(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	w.WriteHeader(http.StatusCreated)
-}
-
-func readBody(r *http.Request) ([]byte, error) {
-	defer r.Body.Close()
-	return io.ReadAll(http.MaxBytesReader(nil, r.Body, maxUploadBytes))
 }
 
 // HandleDelete removes one artifact; ?quarantine=1 keeps its bytes out
@@ -229,6 +216,5 @@ func (s *Server) HandleCatalog(w http.ResponseWriter, r *http.Request) {
 		w.WriteHeader(http.StatusNotModified)
 		return
 	}
-	w.Header().Set("Content-Type", "application/json")
-	_ = json.NewEncoder(w).Encode(doc)
+	wire.WriteJSON(w, http.StatusOK, doc)
 }
