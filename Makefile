@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test race race-fabric race-solver race-inject ci bench bench-check fuzz-smoke serve-smoke fabric-smoke store-smoke clean
+.PHONY: all build vet test race race-fabric race-solver race-inject race-store ci bench bench-check fuzz-smoke serve-smoke fabric-smoke store-smoke clean
 
 all: vet build test
 
@@ -43,6 +43,12 @@ race-solver:
 race-inject:
 	$(GO) test -race -count=1 ./internal/inject ./internal/gpu ./internal/mem ./internal/sim
 
+# Focused race pass over the run-artifact store: the lazily decoded
+# sections sit behind per-section locks that concurrent first-touch
+# queries (and retries after a failed fetch) contend on.
+race-store:
+	$(GO) test -race -count=1 ./internal/store/...
+
 # End-to-end smoke of the analysis service: boot it, hit the health,
 # query, and metrics endpoints, then drain it with SIGTERM. CI runs the
 # same sequence inline.
@@ -66,7 +72,7 @@ store-smoke:
 	./scripts/store-smoke.sh
 
 # The blocking steps of .github/workflows/ci.yml, in its order.
-ci: vet build test race race-fabric race-solver race-inject serve-smoke fabric-smoke store-smoke fuzz-smoke bench-check
+ci: vet build test race race-fabric race-solver race-inject race-store serve-smoke fabric-smoke store-smoke fuzz-smoke bench-check
 
 bench:
 	$(GO) test -bench=. -benchtime=1x -run=^$$ .

@@ -41,7 +41,11 @@ func (r *Run) measurements() (*sim.Measurements, error) {
 // rejected with a typed error (the format CRC-checks every section);
 // analysis never runs over partially decoded artifacts.
 func LoadRun(rd io.Reader) (*Run, error) {
-	m, err := store.DecodeReader(rd)
+	data, err := io.ReadAll(rd)
+	if err != nil {
+		return nil, fmt.Errorf("mbavf: reading run artifact: %w", err)
+	}
+	m, err := store.Decode(data)
 	if err != nil {
 		return nil, fmt.Errorf("mbavf: decoding run artifact: %w", err)
 	}

@@ -144,7 +144,8 @@ type FabricOptions struct {
 	// Workers is the fleet's base URLs (e.g. "http://host:8080"). Empty
 	// runs in-process (the graceful-degradation floor).
 	Workers []string
-	// ShardSize is the number of shots per lease (default 64).
+	// ShardSize is the number of shots per lease (default 64, at most
+	// 65536).
 	ShardSize int
 	// LeaseTTL is the per-lease heartbeat deadline; a lease silent for
 	// this long is stolen and re-dispatched (default 15s).

@@ -372,24 +372,13 @@ func (g *Graph) Solved() Snapshot {
 	return Snapshot{Live: g.live, LastRead: g.lastRead, EverRead: g.everRead}
 }
 
-// Restore reconstructs a solved graph from a snapshot. The restored graph
-// answers Live/ReadAfter/Dead queries; it cannot record new versions.
-func Restore(s Snapshot) (*Graph, error) {
-	return restore(Snapshot{
-		Live:     append([]uint32(nil), s.Live...),
-		LastRead: append([]interval.Cycle(nil), s.LastRead...),
-		EverRead: append([]bool(nil), s.EverRead...),
-	})
-}
-
-// Adopt is Restore without the defensive copy: the caller transfers
-// ownership of the snapshot's slices to the graph and must not touch
-// them afterwards. The artifact decoder uses it — its slices are
-// freshly built per decode, and copying megabytes of liveness state
-// would double the cost of reviving a stored run.
-func Adopt(s Snapshot) (*Graph, error) { return restore(s) }
-
-func restore(s Snapshot) (*Graph, error) {
+// Adopt reconstructs a solved graph from a snapshot, taking ownership
+// of its slices: the caller must not touch them afterwards. The
+// restored graph answers Live/ReadAfter/Dead queries; it cannot record
+// new versions. The artifact decoder uses it — its slices are freshly
+// built per decode, and copying megabytes of liveness state would
+// double the cost of reviving a stored run.
+func Adopt(s Snapshot) (*Graph, error) {
 	n := len(s.Live)
 	if n == 0 || len(s.LastRead) != n || len(s.EverRead) != n {
 		return nil, fmt.Errorf("dataflow: inconsistent snapshot (%d/%d/%d entries)",

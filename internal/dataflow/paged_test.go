@@ -2,6 +2,7 @@ package dataflow
 
 import (
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
@@ -167,7 +168,12 @@ func TestGraphPanicsAcrossPages(t *testing.T) {
 func TestRestoredGraphLen(t *testing.T) {
 	g, _ := randomGraphs(t, 3, pageVersions+5)
 	g.Solve()
-	back, err := Restore(g.Solved())
+	s := g.Solved()
+	back, err := Adopt(Snapshot{
+		Live:     slices.Clone(s.Live),
+		LastRead: slices.Clone(s.LastRead),
+		EverRead: slices.Clone(s.EverRead),
+	})
 	if err != nil {
 		t.Fatal(err)
 	}

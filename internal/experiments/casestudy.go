@@ -120,25 +120,6 @@ func fig11(o Options) ([]*report.Table, error) {
 	return []*report.Table{t}, nil
 }
 
-// CaseStudySDC returns the mean MB-AVF SDC rate for one named config,
-// used by tests and EXPERIMENTS.md shape checks.
-func CaseStudySDC(o Options, label string) (float64, error) {
-	tables, err := fig11(o)
-	if err != nil {
-		return 0, err
-	}
-	for _, row := range tables[0].Rows {
-		if row[0] == label {
-			var v float64
-			if _, err := fmt.Sscanf(row[1], "%g", &v); err != nil {
-				return 0, err
-			}
-			return v, nil
-		}
-	}
-	return 0, fmt.Errorf("experiments: config %q not in Figure 11", label)
-}
-
 func init() {
 	registerExp("fig11", "VGPR protection case study", fig11)
 }

@@ -140,9 +140,11 @@ func run(o Options, name string) (*sim.Measurements, error) {
 	if st != nil {
 		// A miss or a quarantined corrupt artifact both fall through to
 		// simulation; the store never serves wrong numbers.
-		if m, err := st.Get(o.ctx(), key); err == nil && m.Workload == name {
-			runCache.Store(name, m)
-			return m, nil
+		if a, err := st.GetArtifact(o.ctx(), key); err == nil && a.Meta().Workload == name {
+			if m, err := a.Measurements(); err == nil {
+				runCache.Store(name, m)
+				return m, nil
+			}
 		}
 	}
 	w, err := workloads.ByName(name)

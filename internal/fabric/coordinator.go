@@ -61,7 +61,7 @@ type Config struct {
 	// means every run degrades to in-process execution.
 	Workers []string
 	// ShardSize is the number of shots (or AVF queries) per lease
-	// (default 64).
+	// (default 64, at most 65536).
 	ShardSize int
 	// LeaseTTL is how long a lease may go without a successful heartbeat
 	// poll before the coordinator declares it expired and re-dispatches
@@ -107,6 +107,7 @@ func (c Config) withDefaults() Config {
 	if c.ShardSize <= 0 {
 		c.ShardSize = 64
 	}
+	c.ShardSize = min(c.ShardSize, maxLeaseShots)
 	if c.LeaseTTL <= 0 {
 		c.LeaseTTL = 15 * time.Second
 	}

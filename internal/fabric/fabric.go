@@ -147,6 +147,11 @@ type Health struct {
 	Leases int    `json:"leases"`
 }
 
+// maxLeaseShots bounds one shot lease's range: a worker sizes the
+// lease's result buffer from it, so an unbounded range from the wire
+// could ask for any allocation. The coordinator never shards larger.
+const maxLeaseShots = 1 << 16
+
 // Validate rejects malformed lease requests before any work happens.
 func (r LeaseRequest) Validate() error {
 	if r.ID == "" {
@@ -159,6 +164,10 @@ func (r LeaseRequest) Validate() error {
 		}
 		if r.Start < 0 || r.End <= r.Start {
 			return fmt.Errorf("fabric: shot lease %s has empty range [%d,%d)", r.ID, r.Start, r.End)
+		}
+		if r.End-r.Start > maxLeaseShots {
+			return fmt.Errorf("fabric: shot lease %s spans %d shots, more than the %d a lease may hold",
+				r.ID, r.End-r.Start, maxLeaseShots)
 		}
 	case KindAVF:
 		if len(r.Queries) == 0 {

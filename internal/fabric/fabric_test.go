@@ -518,6 +518,23 @@ func TestWorkerLeaseLifecycle(t *testing.T) {
 		t.Error("golden mismatch was not marked fatal")
 	}
 
+	// A shot range too long for any lease is refused fatally before the
+	// worker sizes anything from it, and the worker keeps serving.
+	long := []byte(`{"id":"x","kind":"shots","workload":"synthA","start":0,"end":4611686018427387904}`)
+	if resp, err := client.Post(srv.URL+PathLease, "application/json", bytes.NewReader(long)); err != nil {
+		t.Fatal(err)
+	} else {
+		var st LeaseState
+		_ = json.NewDecoder(resp.Body).Decode(&st)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest || !st.Fatal {
+			t.Errorf("overlong shot range: status %d fatal %v, want 400 fatal", resp.StatusCode, st.Fatal)
+		}
+	}
+	if _, code := get(req.ID); code != http.StatusNotFound {
+		t.Errorf("poll after overlong POST: status %d, want 404 from a live worker", code)
+	}
+
 	// A lease body over maxLeaseBytes is refused whole, fatally.
 	huge := req
 	huge.ID = strings.Repeat("x", maxLeaseBytes)

@@ -49,8 +49,6 @@ func defaultResolver(workload string) (*inject.Campaign, error) {
 
 // WorkerConfig tunes a fabric worker.
 type WorkerConfig struct {
-	// ShotWorkers is the per-lease shot parallelism (default GOMAXPROCS).
-	ShotWorkers int
 	// LeaseTTL is the garbage-collection horizon: a lease not polled for
 	// this long is cancelled and dropped, so an orphaned lease (its
 	// coordinator crashed) never burns cores forever (default 2m).
@@ -67,9 +65,6 @@ type WorkerConfig struct {
 }
 
 func (c WorkerConfig) withDefaults() WorkerConfig {
-	if c.ShotWorkers <= 0 {
-		c.ShotWorkers = runtime.GOMAXPROCS(0)
-	}
 	if c.LeaseTTL <= 0 {
 		c.LeaseTTL = 2 * time.Minute
 	}
@@ -339,9 +334,9 @@ func (w *Worker) execute(ctx context.Context, l *workerLease) {
 	}
 }
 
-// executeShots runs the lease's shot range on a small pool. Every shot
-// depends only on (seed, index), so the pool's schedule cannot affect
-// the result.
+// executeShots runs the lease's shot range on a pool of GOMAXPROCS
+// goroutines. Every shot depends only on (seed, index), so the pool's
+// schedule cannot affect the result.
 func (w *Worker) executeShots(ctx context.Context, l *workerLease) {
 	c, err := w.campaign(l.req.Workload)
 	if err != nil {
@@ -354,7 +349,7 @@ func (w *Worker) executeShots(ctx context.Context, l *workerLease) {
 	}
 
 	n := l.req.End - l.req.Start
-	workers := min(w.cfg.ShotWorkers, n)
+	workers := min(runtime.GOMAXPROCS(0), n)
 	indices := make(chan int)
 	shots := make(chan inject.Shot)
 	var wg sync.WaitGroup

@@ -405,8 +405,8 @@ func (s *Server) handleAVFBatch(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, fmt.Errorf("%w: empty batch", mbavf.ErrBadOption))
 		return
 	}
-	if len(req.Queries) > s.cfg.MaxBatch {
-		writeErr(w, fmt.Errorf("%w: batch of %d exceeds limit %d", mbavf.ErrBadOption, len(req.Queries), s.cfg.MaxBatch))
+	if len(req.Queries) > maxBatch {
+		writeErr(w, fmt.Errorf("%w: batch of %d exceeds limit %d", mbavf.ErrBadOption, len(req.Queries), maxBatch))
 		return
 	}
 	var items []BatchItem

@@ -338,6 +338,12 @@ func TestBatch(t *testing.T) {
 		t.Error("invalid batch item did not report its error")
 	}
 	postJSON(t, ts.URL+"/api/v1/avf/batch", map[string]any{"queries": []AVFQuery{}}, http.StatusBadRequest, nil)
+	// One query over the batch cap is refused whole.
+	over := make([]AVFQuery, maxBatch+1)
+	for i := range over {
+		over[i] = q
+	}
+	postJSON(t, ts.URL+"/api/v1/avf/batch", map[string]any{"queries": over}, http.StatusBadRequest, nil)
 }
 
 func TestJobLifecycle(t *testing.T) {

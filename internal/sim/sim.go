@@ -211,14 +211,6 @@ func (s *Session) OutputWords(n int) uint32 {
 	return addr
 }
 
-// OutputBytesBuf allocates an n-byte output buffer and declares it as
-// final program output.
-func (s *Session) OutputBytesBuf(n int) uint32 {
-	addr := s.Alloc(n)
-	s.DeclareOutput(addr, n)
-	return addr
-}
-
 // ScratchWords allocates a buffer that is not program output (intermediate
 // data; writes to it that are never consumed are dynamically dead).
 func (s *Session) ScratchWords(n int) uint32 { return s.Alloc(4 * n) }

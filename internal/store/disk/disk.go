@@ -55,9 +55,6 @@ func (b *Backend) Name() string { return "disk" }
 // String returns the store's root directory.
 func (b *Backend) String() string { return b.dir }
 
-// Dir returns the store's root directory.
-func (b *Backend) Dir() string { return b.dir }
-
 // Path returns the file path the artifact with the given key lives at.
 func (b *Backend) Path(key string) string { return filepath.Join(b.dir, key+artifactExt) }
 

@@ -330,24 +330,6 @@ func (d *dec) uvarint() (uint64, error) {
 	return v, nil
 }
 
-func (d *dec) varint() (int64, error) {
-	v, n := binary.Varint(d.b[d.off:])
-	if n <= 0 {
-		return 0, fmt.Errorf("%w: malformed varint at offset %d", ErrCorrupt, d.off)
-	}
-	d.off += n
-	return v, nil
-}
-
-func (d *dec) byte() (byte, error) {
-	if d.off >= len(d.b) {
-		return 0, fmt.Errorf("%w: truncated payload", ErrCorrupt)
-	}
-	v := d.b[d.off]
-	d.off++
-	return v, nil
-}
-
 func (d *dec) take(n int) ([]byte, error) {
 	if n < 0 || d.remaining() < n {
 		return nil, fmt.Errorf("%w: truncated payload (want %d bytes, have %d)", ErrCorrupt, n, d.remaining())
@@ -384,58 +366,6 @@ func (d *dec) count(minBytes int) (int, error) {
 		return 0, fmt.Errorf("%w: count %d impossible with %d bytes left", ErrCorrupt, v, d.remaining())
 	}
 	return int(v), nil
-}
-
-// splitSections validates the header and the section framing of a whole
-// artifact: magic, version, every section present exactly once, every
-// CRC matching. It returns the raw payloads indexed by section id.
-func splitSections(data []byte) (map[byte][]byte, error) {
-	if len(data) < len(magic)+1 || string(data[:len(magic)]) != magic {
-		return nil, fmt.Errorf("%w: bad magic", ErrFormat)
-	}
-	if v := data[len(magic)]; v != version {
-		return nil, fmt.Errorf("%w: artifact version %d, this build reads %d", ErrFormat, v, version)
-	}
-	d := &dec{b: data, off: len(magic) + 1}
-	secs := make(map[byte][]byte, numSecs)
-	for d.remaining() > 0 {
-		id, err := d.byte()
-		if err != nil {
-			return nil, err
-		}
-		if id < secMeta || id > secGraph {
-			return nil, fmt.Errorf("%w: unknown section id %d", ErrFormat, id)
-		}
-		if _, dup := secs[id]; dup {
-			return nil, fmt.Errorf("%w: duplicate %s section", ErrFormat, sectionName(id))
-		}
-		n, err := d.uvarint()
-		if err != nil {
-			return nil, err
-		}
-		if n > uint64(d.remaining()) {
-			return nil, fmt.Errorf("%w: %s section length %d exceeds file", ErrCorrupt, sectionName(id), n)
-		}
-		payload, err := d.take(int(n))
-		if err != nil {
-			return nil, err
-		}
-		crcb, err := d.take(4)
-		if err != nil {
-			return nil, fmt.Errorf("%w: %s section missing checksum", ErrCorrupt, sectionName(id))
-		}
-		if got, want := crc32.ChecksumIEEE(payload), binary.LittleEndian.Uint32(crcb); got != want {
-			return nil, fmt.Errorf("%w: %s section checksum mismatch (%08x != %08x)",
-				ErrCorrupt, sectionName(id), got, want)
-		}
-		secs[id] = payload
-	}
-	for id := byte(secMeta); id <= secGraph; id++ {
-		if _, ok := secs[id]; !ok {
-			return nil, fmt.Errorf("%w: missing %s section", ErrFormat, sectionName(id))
-		}
-	}
-	return secs, nil
 }
 
 // maxNameLen bounds the workload and fingerprint strings in meta; real
@@ -618,14 +548,14 @@ var unpackBits = func() (t [256][8]bool) {
 }()
 
 // decodeGraph rebuilds the solved liveness graph.
-func decodeGraph(payload []byte) (*dataflow.Graph, int, error) {
+func decodeGraph(payload []byte) (*dataflow.Graph, error) {
 	d := &dec{b: payload}
 	n, err := d.count(2) // live(>=1) + lastread(>=1); the bitset is checked below
 	if err != nil {
-		return nil, 0, err
+		return nil, err
 	}
 	if n == 0 {
-		return nil, 0, fmt.Errorf("%w: empty graph", ErrCorrupt)
+		return nil, fmt.Errorf("%w: empty graph", ErrCorrupt)
 	}
 	snap := dataflow.Snapshot{
 		Live:     make([]uint32, n),
@@ -645,10 +575,10 @@ func decodeGraph(payload []byte) (*dataflow.Graph, int, error) {
 		} else if u, k := binary.Uvarint(b[off:]); k > 0 {
 			v, off = u, off+k
 		} else {
-			return nil, 0, fmt.Errorf("%w: truncated live mask %d", ErrCorrupt, i)
+			return nil, fmt.Errorf("%w: truncated live mask %d", ErrCorrupt, i)
 		}
 		if v > math.MaxUint32 {
-			return nil, 0, fmt.Errorf("%w: live mask %d exceeds 32 bits", ErrCorrupt, v)
+			return nil, fmt.Errorf("%w: live mask %d exceeds 32 bits", ErrCorrupt, v)
 		}
 		snap.Live[i] = uint32(v)
 	}
@@ -662,7 +592,7 @@ func decodeGraph(payload []byte) (*dataflow.Graph, int, error) {
 		} else if u, k := binary.Uvarint(b[off:]); k > 0 {
 			zz, off = u, off+k
 		} else {
-			return nil, 0, fmt.Errorf("%w: truncated read time %d", ErrCorrupt, i)
+			return nil, fmt.Errorf("%w: truncated read time %d", ErrCorrupt, i)
 		}
 		prev += int64(zz>>1) ^ -int64(zz&1)
 		snap.LastRead[i] = uint64(prev)
@@ -670,7 +600,7 @@ func decodeGraph(payload []byte) (*dataflow.Graph, int, error) {
 	d.off = off
 	set, err := d.take((n + 7) / 8)
 	if err != nil {
-		return nil, 0, err
+		return nil, err
 	}
 	for i := 0; i+8 <= n; i += 8 {
 		copy(snap.EverRead[i:i+8], unpackBits[set[i/8]][:])
@@ -679,13 +609,13 @@ func decodeGraph(payload []byte) (*dataflow.Graph, int, error) {
 		snap.EverRead[i] = set[i/8]&(1<<(i%8)) != 0
 	}
 	if d.remaining() != 0 {
-		return nil, 0, fmt.Errorf("%w: %d trailing bytes in graph section", ErrCorrupt, d.remaining())
+		return nil, fmt.Errorf("%w: %d trailing bytes in graph section", ErrCorrupt, d.remaining())
 	}
 	g, err := dataflow.Adopt(snap)
 	if err != nil {
-		return nil, 0, fmt.Errorf("%w: %v", ErrCorrupt, err)
+		return nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
 	}
-	return g, n, nil
+	return g, nil
 }
 
 // Decode parses a complete artifact back into measurements. It never
@@ -701,15 +631,6 @@ func Decode(data []byte) (*sim.Measurements, error) {
 	return a.Measurements()
 }
 
-// DecodeReader is Decode over a stream.
-func DecodeReader(r io.Reader) (*sim.Measurements, error) {
-	data, err := io.ReadAll(r)
-	if err != nil {
-		return nil, err
-	}
-	return Decode(data)
-}
-
 // SectionCheck is one section's integrity verdict from CheckSections.
 type SectionCheck struct {
 	Name  string
@@ -719,167 +640,124 @@ type SectionCheck struct {
 }
 
 // CheckSections walks a complete artifact's framing and verifies every
-// section CRC, collecting one result per section instead of failing on
-// the first mismatch — so `mbavf-store verify` and the scrubber can
-// report exactly which sections rotted. Framing-level damage (bad
-// magic, malformed lengths, truncation, duplicate or missing sections)
-// is returned as the error, alongside whatever sections were walkable
-// before the damage.
+// section CRC, collecting one result per section, in file order,
+// instead of failing on the first mismatch — so `mbavf-store verify`
+// and the scrubber can report exactly which sections rotted.
+// Framing-level damage (bad magic, malformed lengths, truncation,
+// duplicate or missing sections) is returned as the error, alongside
+// whatever sections were walkable before the damage.
 func CheckSections(data []byte) ([]SectionCheck, error) {
-	if len(data) < len(magic)+1 || string(data[:len(magic)]) != magic {
-		return nil, fmt.Errorf("%w: bad magic", ErrFormat)
-	}
-	if v := data[len(magic)]; v != version {
-		return nil, fmt.Errorf("%w: artifact version %d, this build reads %d", ErrFormat, v, version)
-	}
-	d := &dec{b: data, off: len(magic) + 1}
+	locs, err := scanBlob(data)
 	var out []SectionCheck
-	seen := make(map[byte]bool, numSecs)
-	for d.remaining() > 0 {
-		id, err := d.byte()
-		if err != nil {
-			return out, err
-		}
-		if id < secMeta || id > secGraph {
-			return out, fmt.Errorf("%w: unknown section id %d", ErrFormat, id)
-		}
-		if seen[id] {
-			return out, fmt.Errorf("%w: duplicate %s section", ErrFormat, sectionName(id))
-		}
-		seen[id] = true
-		n, err := d.uvarint()
-		if err != nil {
-			return out, err
-		}
-		if n > uint64(d.remaining()) {
-			return out, fmt.Errorf("%w: %s section length %d exceeds file", ErrCorrupt, sectionName(id), n)
-		}
-		payload, err := d.take(int(n))
-		if err != nil {
-			return out, err
-		}
-		crcb, err := d.take(4)
-		if err != nil {
-			return out, fmt.Errorf("%w: %s section missing checksum", ErrCorrupt, sectionName(id))
-		}
-		sc := SectionCheck{Name: sectionName(id), Bytes: len(payload)}
-		if got, want := crc32.ChecksumIEEE(payload), binary.LittleEndian.Uint32(crcb); got != want {
-			sc.Err = fmt.Errorf("%w: %s section checksum mismatch (%08x != %08x)",
-				ErrCorrupt, sectionName(id), got, want)
-		}
-		out = append(out, sc)
+	for _, l := range locs {
+		out = append(out, SectionCheck{Name: sectionName(l.id), Bytes: int(l.n), Err: l.check(l.payload(data))})
 	}
-	for id := byte(secMeta); id <= secGraph; id++ {
-		if !seen[id] {
-			return out, fmt.Errorf("%w: missing %s section", ErrFormat, sectionName(id))
-		}
-	}
-	return out, nil
+	return out, err
 }
 
 // secLoc locates one section's payload inside an artifact blob, with
-// the CRC its bytes must hash to. The ranged load path verifies each
-// section at fetch time instead of eagerly.
+// the CRC its bytes must hash to.
 type secLoc struct {
+	id     byte
 	off, n int64
 	crc    uint32
+}
+
+// payload slices the section out of a whole blob.
+func (l secLoc) payload(data []byte) []byte { return data[l.off : l.off+l.n] }
+
+// check verifies a section's payload against its CRC.
+func (l secLoc) check(payload []byte) error {
+	if got := crc32.ChecksumIEEE(payload); got != l.crc {
+		return fmt.Errorf("%w: %s section checksum mismatch (%08x != %08x)",
+			ErrCorrupt, sectionName(l.id), got, l.crc)
+	}
+	return nil
 }
 
 // maxSecHdr bounds one section header: id byte plus the payload-length
 // uvarint.
 const maxSecHdr = 1 + binary.MaxVarintLen64
 
-// scanSections walks an artifact's section table through small ranged
-// reads — read(off, n) returns n bytes of the blob at off — without
-// transferring any payload. Each iteration reads a section's trailing
-// CRC together with the next section's header, so a five-section
-// artifact costs six small reads. The framing is validated exactly as
-// splitSections does (magic, version, every section exactly once);
-// payload CRCs are NOT checked here — the returned locations carry them
-// for verification at fetch time.
-func scanSections(size int64, read func(off, n int64) ([]byte, error)) (map[byte]secLoc, error) {
+// scanSections is the one walker of an artifact's framing: every reader
+// of the format goes through it. It reads the section table through
+// small ranged reads — read(off, n) returns n bytes of the blob at off —
+// without touching any payload. Each iteration reads a section's
+// trailing CRC together with the next section's header, so a
+// five-section artifact costs six small reads. It validates magic,
+// version and that every section appears exactly once, and returns the
+// sections in file order; on framing damage it returns the sections
+// walked before it alongside the error. Payload CRCs are NOT checked
+// here: the returned locations carry them for the caller to verify.
+func scanSections(size int64, read func(off, n int64) ([]byte, error)) ([]secLoc, error) {
 	hdr := int64(len(magic) + 1)
 	if size < hdr {
 		return nil, fmt.Errorf("%w: bad magic", ErrFormat)
 	}
 	take := func(off, n int64) ([]byte, error) {
-		if off+n > size {
-			n = size - off
+		n = min(n, size-off)
+		b, err := read(off, n)
+		if err == nil && int64(len(b)) != n {
+			err = fmt.Errorf("store: short read at offset %d: got %d bytes, want %d", off, len(b), n)
 		}
-		return read(off, n)
+		return b, err
 	}
 	buf, err := take(0, hdr+maxSecHdr)
 	if err != nil {
 		return nil, err
 	}
-	if int64(len(buf)) < hdr || string(buf[:len(magic)]) != magic {
+	if string(buf[:len(magic)]) != magic {
 		return nil, fmt.Errorf("%w: bad magic", ErrFormat)
 	}
 	if v := buf[len(magic)]; v != version {
 		return nil, fmt.Errorf("%w: artifact version %d, this build reads %d", ErrFormat, v, version)
 	}
-	bufOff := int64(0)
-	off := hdr
-	secs := make(map[byte]secLoc, numSecs)
+	bufOff, off := int64(0), hdr
+	secs := make([]secLoc, 0, numSecs)
+	var seen [secGraph + 1]bool
 	for off < size {
 		if off < bufOff || off >= bufOff+int64(len(buf)) {
 			if buf, err = take(off, maxSecHdr); err != nil {
-				return nil, err
+				return secs, err
 			}
 			bufOff = off
 		}
 		window := buf[off-bufOff:]
 		id := window[0]
 		if id < secMeta || id > secGraph {
-			return nil, fmt.Errorf("%w: unknown section id %d", ErrFormat, id)
+			return secs, fmt.Errorf("%w: unknown section id %d", ErrFormat, id)
 		}
-		if _, dup := secs[id]; dup {
-			return nil, fmt.Errorf("%w: duplicate %s section", ErrFormat, sectionName(id))
+		if seen[id] {
+			return secs, fmt.Errorf("%w: duplicate %s section", ErrFormat, sectionName(id))
 		}
+		seen[id] = true
 		n, k := binary.Uvarint(window[1:])
 		if k <= 0 {
-			return nil, fmt.Errorf("%w: truncated %s section header", ErrCorrupt, sectionName(id))
+			return secs, fmt.Errorf("%w: truncated %s section header", ErrCorrupt, sectionName(id))
 		}
 		payOff := off + 1 + int64(k)
 		if n > uint64(size) || payOff+int64(n)+4 > size {
-			return nil, fmt.Errorf("%w: %s section length %d exceeds file", ErrCorrupt, sectionName(id), n)
+			return secs, fmt.Errorf("%w: %s section length %d exceeds file", ErrCorrupt, sectionName(id), n)
 		}
 		crcOff := payOff + int64(n)
 		// One read covers this section's CRC and (opportunistically) the
 		// next section's header.
 		if buf, err = take(crcOff, 4+maxSecHdr); err != nil {
-			return nil, err
+			return secs, err
 		}
 		bufOff = crcOff
-		if len(buf) < 4 {
-			return nil, fmt.Errorf("%w: %s section missing checksum", ErrCorrupt, sectionName(id))
-		}
-		secs[id] = secLoc{off: payOff, n: int64(n), crc: binary.LittleEndian.Uint32(buf[:4])}
+		secs = append(secs, secLoc{id: id, off: payOff, n: int64(n), crc: binary.LittleEndian.Uint32(buf[:4])})
 		off = crcOff + 4
 	}
 	for id := byte(secMeta); id <= secGraph; id++ {
-		if _, ok := secs[id]; !ok {
-			return nil, fmt.Errorf("%w: missing %s section", ErrFormat, sectionName(id))
+		if !seen[id] {
+			return secs, fmt.Errorf("%w: missing %s section", ErrFormat, sectionName(id))
 		}
 	}
 	return secs, nil
 }
 
-// DecodeMeta validates the framing (header, CRCs) of a complete artifact
-// and parses only its meta section — the cheap path behind `ls` and
-// `inspect`, which must not pay full segment decoding per artifact.
-func DecodeMeta(data []byte) (Meta, []SectionInfo, error) {
-	secs, err := splitSections(data)
-	if err != nil {
-		return Meta{}, nil, err
-	}
-	meta, err := decodeMeta(secs[secMeta])
-	if err != nil {
-		return Meta{}, nil, err
-	}
-	infos := make([]SectionInfo, 0, numSecs)
-	for id := byte(secMeta); id <= secGraph; id++ {
-		infos = append(infos, SectionInfo{Name: sectionName(id), Bytes: len(secs[id])})
-	}
-	return meta, infos, nil
+// scanBlob is scanSections over an artifact held whole in memory.
+func scanBlob(data []byte) ([]secLoc, error) {
+	return scanSections(int64(len(data)), func(off, n int64) ([]byte, error) { return data[off : off+n], nil })
 }

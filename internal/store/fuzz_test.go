@@ -2,12 +2,14 @@ package store
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"testing"
 
 	"mbavf/internal/dataflow"
 	"mbavf/internal/lifetime"
 	"mbavf/internal/sim"
+	"mbavf/internal/store/mem"
 )
 
 // tinyMeasurements hand-builds the smallest valid artifact content: a
@@ -16,7 +18,7 @@ import (
 // half-megabyte simulated one.
 func tinyMeasurements(f *testing.F) *sim.Measurements {
 	f.Helper()
-	g, err := dataflow.Restore(dataflow.Snapshot{
+	g, err := dataflow.Adopt(dataflow.Snapshot{
 		Live:     []uint32{0, 1},
 		LastRead: []uint64{0, 7},
 		EverRead: []bool{false, true},
@@ -49,7 +51,10 @@ func tinyMeasurements(f *testing.F) *sim.Measurements {
 // must never panic, never allocate unboundedly, and reject every invalid
 // input with a typed error (ErrFormat or ErrCorrupt). Inputs that do
 // decode must round-trip bit-identically through re-encoding — the
-// store's "never silently analyze damage" contract, mechanized.
+// store's "never silently analyze damage" contract, mechanized. Every
+// input is also served by a ranged backend, so the framing walk over
+// small remote reads and the per-fetch CRC checks see the same hostile
+// bytes: that load must accept exactly what Decode accepts.
 func FuzzStoreRoundTrip(f *testing.F) {
 	// Seed with a genuine (tiny) artifact so the fuzzer starts from
 	// valid framing and mutates inward past the CRCs, plus the classic
@@ -65,13 +70,34 @@ func FuzzStoreRoundTrip(f *testing.F) {
 	f.Add(append(bytes.Clone(valid[:len(valid)/2]), 0xff))
 	f.Add(bytes.Repeat([]byte{0xff}, 64))
 
+	const key = "0123456789abcdef0123456789abcdef"
 	f.Fuzz(func(t *testing.T, data []byte) {
+		ctx := context.Background()
+		b := mem.NewRanged()
+		if err := b.Put(ctx, key, data); err != nil {
+			t.Fatal(err)
+		}
+		var ranged *sim.Measurements
+		a, rerr := NewStore(b).GetArtifact(ctx, key)
+		if rerr == nil {
+			ranged, rerr = a.Measurements()
+		}
+		if rerr != nil && !errors.Is(rerr, ErrFormat) && !errors.Is(rerr, ErrCorrupt) {
+			t.Fatalf("untyped ranged load error: %v", rerr)
+		}
+
 		dec, err := Decode(data)
 		if err != nil {
 			if !errors.Is(err, ErrFormat) && !errors.Is(err, ErrCorrupt) {
 				t.Fatalf("untyped decode error: %v", err)
 			}
+			if rerr == nil {
+				t.Fatalf("ranged load accepted what Decode rejected (%v)", err)
+			}
 			return
+		}
+		if rerr != nil {
+			t.Fatalf("ranged load rejected what Decode accepted: %v", rerr)
 		}
 		if !dec.Instrumented() {
 			t.Fatal("decode returned uninstrumented measurements")
@@ -84,12 +110,18 @@ func FuzzStoreRoundTrip(f *testing.F) {
 			t.Fatalf("decode/encode not bit-identical: %d in, %d out", len(data), len(again))
 		}
 		// The lightweight metadata path must agree with the full decode.
-		meta, _, err := DecodeMeta(data)
+		pa, err := Parse(data)
 		if err != nil {
-			t.Fatalf("DecodeMeta rejected what Decode accepted: %v", err)
+			t.Fatalf("Parse rejected what Decode accepted: %v", err)
 		}
-		if meta.Workload != dec.Workload || meta.Cycles != dec.Cycles {
-			t.Fatalf("DecodeMeta disagrees with Decode: %+v vs %+v", meta, dec)
+		if meta := pa.Meta(); meta.Workload != dec.Workload || meta.Cycles != dec.Cycles {
+			t.Fatalf("Parse disagrees with Decode: %+v vs %+v", meta, dec)
+		}
+		if a.Meta() != pa.Meta() {
+			t.Fatalf("ranged load meta %+v, Parse meta %+v", a.Meta(), pa.Meta())
+		}
+		if re, err := EncodedBytes(ranged); err != nil || !bytes.Equal(re, data) {
+			t.Fatalf("ranged load does not re-encode to its input: %v", err)
 		}
 	})
 }

@@ -1,95 +1,84 @@
 package store
 
 import (
-	"context"
 	"fmt"
-	"hash/crc32"
 	"sync"
 	"time"
 
 	"mbavf/internal/dataflow"
 	"mbavf/internal/lifetime"
 	"mbavf/internal/sim"
-	"mbavf/internal/store/backend"
 )
-
-// sectionSource hands an Artifact its raw section payloads. The
-// whole-blob path (mapSource) already holds every CRC-verified payload
-// in memory; the ranged path (rangedSource) fetches a section from the
-// backend on first use and verifies its CRC then.
-type sectionSource interface {
-	payload(id byte) ([]byte, error)
-}
-
-// mapSource serves payloads split out of a fully loaded blob by
-// splitSections, which verified every CRC before the Artifact existed.
-type mapSource map[byte][]byte
-
-func (m mapSource) payload(id byte) ([]byte, error) { return m[id], nil }
-
-// rangedSource fetches section payloads through a backend's ranged
-// reads. Each section's CRC (captured by the section-table scan at load
-// time) is verified against the fetched bytes, so transport damage and
-// bit rot surface as ErrCorrupt — and quarantine the artifact — exactly
-// as on the eager path, just later.
-type rangedSource struct {
-	ctx       context.Context
-	b         backend.Interface
-	key       string
-	locs      map[byte]secLoc
-	onBytes   func(n int)
-	onCorrupt func()
-}
-
-func (r *rangedSource) payload(id byte) ([]byte, error) {
-	loc, ok := r.locs[id]
-	if !ok {
-		// scanSections guarantees every section; this is unreachable.
-		return nil, fmt.Errorf("%w: missing %s section", ErrFormat, sectionName(id))
-	}
-	data, err := r.b.ReadSection(r.ctx, r.key, loc.off, loc.n)
-	if err != nil {
-		return nil, fmt.Errorf("store: fetching %s section: %w", sectionName(id), err)
-	}
-	if crc32.ChecksumIEEE(data) != loc.crc {
-		r.onCorrupt()
-		return nil, fmt.Errorf("%w: %s section checksum mismatch", ErrCorrupt, sectionName(id))
-	}
-	r.onBytes(len(data))
-	return data, nil
-}
 
 // Artifact is a parsed run artifact whose measurement payloads decode on
 // first use. On the whole-blob path Parse validates everything
 // structural up front — magic, version, section framing, every CRC — so
 // any byte-level damage is caught before an Artifact exists; on the
 // ranged path the framing is validated at load time and each section's
-// CRC on first fetch. Either way the per-section payload decoding (the
+// CRC on every fetch. Either way the per-section payload decoding (the
 // expensive part, millions of varint-packed segments) is deferred until
 // an analysis actually touches that structure. A single L1 query
 // against a big artifact therefore pays for the meta, graph and L1
 // sections only, never for the L2 and register-file timelines — and
 // over a ranged backend it never even transfers them.
 //
-// All methods are safe for concurrent use: each section decodes at most
-// once (sync.Once) and is immutable afterwards, matching the read-only
-// sharing contract of analysis over a fresh simulation.
+// All methods are safe for concurrent use. Each section sits behind its
+// own lock: concurrent first touches wait on a single decode, and a
+// section that decodes is kept, immutable, from then on. A failed fetch
+// or decode keeps nothing, so the next call fetches again — a network
+// blip fails one query, not the artifact for as long as it is cached.
+// A tracker's lock may take the graph's, never the reverse.
 type Artifact struct {
 	meta Meta
-	src  sectionSource
+	locs [numSecs]secLoc // indexed by section id - 1
+	// fetch returns one section's CRC-verified payload: a slice of the
+	// verified blob after Parse, a checked ranged read after a ranged
+	// load.
+	fetch func(secLoc) ([]byte, error)
 
-	graphOnce sync.Once
-	graph     *dataflow.Graph
-	nVers     int
-	graphErr  error
-
-	trackers [3]lazyTracker // indexed by secL1/secL2/secVGPR - secL1
+	graph    lazy[*dataflow.Graph]
+	trackers [3]lazy[*lifetime.Tracker] // indexed by secL1/secL2/secVGPR - secL1
 }
 
-type lazyTracker struct {
-	once sync.Once
-	t    *lifetime.Tracker
-	err  error
+// lazy holds one section's decoded value, set only by a decode that
+// succeeds.
+type lazy[T any] struct {
+	mu   sync.Mutex
+	v    T
+	done bool
+}
+
+// get returns the cached value, running decode under the lock until one
+// call of it succeeds.
+func (l *lazy[T]) get(decode func() (T, error)) (T, error) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if !l.done {
+		v, err := decode()
+		if err != nil {
+			return v, err
+		}
+		l.v, l.done = v, true
+	}
+	return l.v, nil
+}
+
+// newArtifact indexes a walked section table and decodes the meta
+// section through fetch, the function every later section comes
+// through too.
+func newArtifact(locs []secLoc, fetch func(secLoc) ([]byte, error)) (*Artifact, error) {
+	a := &Artifact{fetch: fetch}
+	for _, l := range locs {
+		a.locs[l.id-1] = l
+	}
+	payload, err := fetch(a.locs[secMeta-1])
+	if err != nil {
+		return nil, err
+	}
+	if a.meta, err = decodeMeta(payload); err != nil {
+		return nil, err
+	}
+	return a, nil
 }
 
 // Parse validates an artifact's header, section framing and checksums
@@ -97,59 +86,66 @@ type lazyTracker struct {
 // ErrFormat or ErrCorrupt; the returned Artifact's payloads are
 // CRC-clean and decode lazily.
 func Parse(data []byte) (*Artifact, error) {
-	secs, err := splitSections(data)
+	locs, err := scanBlob(data)
 	if err != nil {
 		return nil, err
 	}
-	meta, err := decodeMeta(secs[secMeta])
-	if err != nil {
-		return nil, err
+	for _, l := range locs {
+		if err := l.check(l.payload(data)); err != nil {
+			return nil, err
+		}
 	}
-	return &Artifact{meta: meta, src: mapSource(secs)}, nil
+	return newArtifact(locs, func(l secLoc) ([]byte, error) { return l.payload(data), nil })
 }
 
-// Meta returns the artifact's identity and geometry (decoded by Parse).
+// Meta returns the artifact's identity and geometry (decoded at load).
 func (a *Artifact) Meta() Meta { return a.meta }
+
+// sections reports each section's payload size, in section-id order.
+func (a *Artifact) sections() []SectionInfo {
+	out := make([]SectionInfo, 0, numSecs)
+	for _, l := range a.locs {
+		out = append(out, SectionInfo{Name: sectionName(l.id), Bytes: int(l.n)})
+	}
+	return out
+}
+
+// decodeSection fetches one section's payload and decodes it, recording
+// the decode time of a success.
+func decodeSection[T any](a *Artifact, id byte, decode func([]byte) (T, error)) (T, error) {
+	payload, err := a.fetch(a.locs[id-1])
+	if err != nil {
+		var zero T
+		return zero, err
+	}
+	start := time.Now()
+	v, err := decode(payload)
+	if err == nil {
+		obsDecodeNS.Record(uint64(time.Since(start).Nanoseconds()))
+	}
+	return v, err
+}
 
 // Graph returns the solved liveness graph, decoding it on first call.
 func (a *Artifact) Graph() (*dataflow.Graph, error) {
-	a.graphOnce.Do(func() {
-		payload, err := a.src.payload(secGraph)
-		if err != nil {
-			a.graphErr = err
-			return
-		}
-		start := time.Now()
-		a.graph, a.nVers, a.graphErr = decodeGraph(payload)
-		if a.graphErr == nil {
-			obsDecodeNS.Record(uint64(time.Since(start).Nanoseconds()))
-		}
+	return a.graph.get(func() (*dataflow.Graph, error) {
+		return decodeSection(a, secGraph, decodeGraph)
 	})
-	return a.graph, a.graphErr
 }
 
 // tracker decodes one structure's tracker on first call. The graph
 // decodes first if needed: segment version ids are validated against
 // its length.
 func (a *Artifact) tracker(id byte, name string, words, bpw int) (*lifetime.Tracker, error) {
-	lt := &a.trackers[id-secL1]
-	lt.once.Do(func() {
-		if _, err := a.Graph(); err != nil {
-			lt.err = fmt.Errorf("%s tracker needs the graph: %w", name, err)
-			return
-		}
-		payload, err := a.src.payload(id)
+	return a.trackers[id-secL1].get(func() (*lifetime.Tracker, error) {
+		g, err := a.Graph()
 		if err != nil {
-			lt.err = err
-			return
+			return nil, fmt.Errorf("%s tracker needs the graph: %w", name, err)
 		}
-		start := time.Now()
-		lt.t, lt.err = decodeTracker(name, payload, words, bpw, uint64(a.nVers))
-		if lt.err == nil {
-			obsDecodeNS.Record(uint64(time.Since(start).Nanoseconds()))
-		}
+		return decodeSection(a, id, func(payload []byte) (*lifetime.Tracker, error) {
+			return decodeTracker(name, payload, words, bpw, uint64(g.Len()))
+		})
 	})
-	return lt.t, lt.err
 }
 
 // L1 returns the L1 data array's lifetime tracker, decoding on first

@@ -6,7 +6,6 @@ import (
 	"encoding/hex"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"sort"
 	"time"
 
@@ -70,7 +69,7 @@ func newMetrics(kind string) *metrics {
 	}
 }
 
-// ErrNotFound marks a Get/Inspect for a key the store does not hold;
+// ErrNotFound marks a GetArtifact/Inspect for a key the store does not hold;
 // callers fall through to simulation.
 var ErrNotFound = backend.ErrNotFound
 
@@ -142,149 +141,109 @@ func (s *Store) Path(key string) string {
 
 func checkKey(key string) error { return backend.CheckKey(key) }
 
-// Get loads and fully decodes the artifact stored under key. A missing
-// artifact returns ErrNotFound; a damaged one is quarantined and
-// returns an error wrapping ErrCorrupt or ErrFormat — it is never
-// silently analyzed, and the caller's fallback is re-simulation.
-func (s *Store) Get(ctx context.Context, key string) (*sim.Measurements, error) {
-	data, err := s.getBytes(ctx, key)
-	if err != nil {
-		return nil, err
-	}
-	m, err := Decode(data)
-	if err != nil {
-		if errors.Is(err, ErrCorrupt) || errors.Is(err, ErrFormat) {
-			s.m.corrupt.Add(1)
-			s.quarantine(ctx, key)
-		}
-		return nil, err
-	}
-	s.m.hits.Add(1)
-	return m, nil
-}
-
-// getBytes fetches the whole artifact blob, accounting for misses and
-// bytes read (but not hits — the caller decides once decoding works).
-func (s *Store) getBytes(ctx context.Context, key string) ([]byte, error) {
+// GetArtifact loads the artifact stored under key as a lazily decoding
+// Artifact — the store's one load. A missing artifact returns
+// ErrNotFound; a damaged one is quarantined and returns an error
+// wrapping ErrCorrupt or ErrFormat — it is never silently analyzed, and
+// the caller's fallback is re-simulation.
+//
+// Over a local backend the whole blob is read and every CRC verified
+// before it returns; over a ranged backend (HTTP) only the section
+// table and the meta section transfer here, and each remaining section
+// is fetched — and CRC-verified — on the first analysis that touches
+// it. Either way the measurement payloads decode on first use. This is
+// the serving tier's load path: reviving a run costs low milliseconds,
+// and each analysis then pays for only the sections it touches.
+func (s *Store) GetArtifact(ctx context.Context, key string) (*Artifact, error) {
 	if err := checkKey(key); err != nil {
 		return nil, err
 	}
-	data, err := s.b.Get(ctx, key)
-	if errors.Is(err, ErrNotFound) {
-		s.m.misses.Add(1)
-		return nil, err
+	load := s.loadBlob
+	if s.ranged {
+		load = s.loadRanged
 	}
+	a, err := load(ctx, key)
+	switch {
+	case err == nil:
+		s.m.hits.Add(1)
+	case errors.Is(err, ErrNotFound):
+		s.m.misses.Add(1)
+	default:
+		s.quarantineDamaged(ctx, key, err)
+	}
+	return a, err
+}
+
+// loadBlob reads the whole blob and parses it, verifying every CRC: on
+// a local file one sequential read beats five seeks.
+func (s *Store) loadBlob(ctx context.Context, key string) (*Artifact, error) {
+	data, err := s.b.Get(ctx, key)
 	if err != nil {
 		return nil, err
 	}
 	s.m.bytesRead.Add(uint64(len(data)))
-	return data, nil
+	return Parse(data)
 }
 
-// GetArtifact loads the artifact stored under key as a lazily decoding
-// Artifact. Over a local backend the whole blob is read and every CRC
-// verified before it returns (a damaged file is quarantined exactly as
-// in Get); over a ranged backend (HTTP) only the section table and the
-// meta section transfer here, and each remaining section is fetched —
-// and CRC-verified — on the first analysis that touches it. Either way
-// the measurement payloads decode on first use. This is the serving
-// tier's load path: reviving a run costs low milliseconds, and each
-// analysis then pays for only the sections it touches.
-func (s *Store) GetArtifact(ctx context.Context, key string) (*Artifact, error) {
-	if s.ranged {
-		if err := checkKey(key); err != nil {
-			return nil, err
-		}
-		return s.getArtifactRanged(ctx, key)
-	}
-	data, err := s.getBytes(ctx, key)
-	if err != nil {
-		return nil, err
-	}
-	a, err := Parse(data)
-	if err != nil {
-		if errors.Is(err, ErrCorrupt) || errors.Is(err, ErrFormat) {
-			s.m.corrupt.Add(1)
-			s.quarantine(ctx, key)
-		}
-		return nil, err
-	}
-	s.m.hits.Add(1)
-	return a, nil
-}
-
-// getArtifactRanged builds an Artifact without transferring the whole
-// blob: Stat for the size, a handful of small ReadSection calls to walk
-// the section table (validating framing eagerly), then the meta payload.
-// Section CRCs are verified as sections are fetched; a mismatch at any
-// point quarantines the artifact, exactly like the eager path.
-func (s *Store) getArtifactRanged(ctx context.Context, key string) (*Artifact, error) {
+// loadRanged builds an Artifact without transferring the whole blob:
+// Stat for the size, a handful of small ReadSection calls to walk the
+// section table (validating framing eagerly), then the meta payload.
+// Every section's CRC is verified as the section is fetched.
+func (s *Store) loadRanged(ctx context.Context, key string) (*Artifact, error) {
 	info, err := s.b.Stat(ctx, key)
-	if errors.Is(err, ErrNotFound) {
-		s.m.misses.Add(1)
-		return nil, err
-	}
 	if err != nil {
 		return nil, err
 	}
-	read := func(off, n int64) ([]byte, error) {
+	read := func(ctx context.Context, off, n int64) ([]byte, error) {
 		data, err := s.b.ReadSection(ctx, key, off, n)
 		if err == nil {
 			s.m.bytesRead.Add(uint64(len(data)))
 		}
 		return data, err
 	}
-	locs, err := scanSections(info.Bytes, read)
+	locs, err := scanSections(info.Bytes, func(off, n int64) ([]byte, error) { return read(ctx, off, n) })
 	if err != nil {
-		if errors.Is(err, ErrCorrupt) || errors.Is(err, ErrFormat) {
-			s.m.corrupt.Add(1)
-			s.quarantine(ctx, key)
+		return nil, err
+	}
+	fetch := func(ctx context.Context, l secLoc) ([]byte, error) {
+		data, err := read(ctx, l.off, l.n)
+		if err != nil {
+			return nil, fmt.Errorf("store: fetching %s section: %w", sectionName(l.id), err)
 		}
-		return nil, err
+		return data, l.check(data)
 	}
-	// The meta section decodes now: Load must be able to check the
-	// artifact's identity before anyone analyzes it.
-	mloc := locs[secMeta]
-	payload, err := read(mloc.off, mloc.n)
+	a, err := newArtifact(locs, func(l secLoc) ([]byte, error) { return fetch(ctx, l) })
 	if err != nil {
 		return nil, err
 	}
-	if crc32.ChecksumIEEE(payload) != mloc.crc {
-		err := fmt.Errorf("%w: meta section checksum mismatch", ErrCorrupt)
-		s.m.corrupt.Add(1)
-		s.quarantine(ctx, key)
-		return nil, err
-	}
-	meta, err := decodeMeta(payload)
-	if err != nil {
-		s.m.corrupt.Add(1)
-		s.quarantine(ctx, key)
-		return nil, err
-	}
-	s.m.hits.Add(1)
-	// Later section fetches run on a detached context: the artifact
-	// outlives the request that loaded it (it sits in the serve tier's
-	// run cache), so an abandoned request must not poison its decoding.
+	// Later fetches run on a detached context: the artifact outlives the
+	// request that loaded it (it sits in the serve tier's run cache), so
+	// an abandoned request must not poison its decoding. No load is left
+	// to handle their damage, so they quarantine it themselves.
 	dctx := context.WithoutCancel(ctx)
-	src := &rangedSource{
-		ctx:     dctx,
-		b:       s.b,
-		key:     key,
-		locs:    locs,
-		onBytes: func(n int) { s.m.bytesRead.Add(uint64(n)) },
-		onCorrupt: func() {
-			s.m.corrupt.Add(1)
-			s.quarantine(dctx, key)
-		},
+	a.fetch = func(l secLoc) ([]byte, error) {
+		data, err := fetch(dctx, l)
+		return data, s.quarantineDamaged(dctx, key, err)
 	}
-	return &Artifact{meta: meta, src: src}, nil
+	return a, nil
 }
 
-// quarantine moves a damaged artifact out of the addressable namespace
-// so the next Get for its key misses cleanly. Backends that cannot keep
-// the bytes for post-mortem just delete. Best-effort: a failure leaves
-// the artifact to fail its CRC again.
+// quarantineDamaged quarantines the artifact under key when err marks
+// it damaged (ErrCorrupt or ErrFormat), and returns err.
+func (s *Store) quarantineDamaged(ctx context.Context, key string, err error) error {
+	if errors.Is(err, ErrCorrupt) || errors.Is(err, ErrFormat) {
+		s.quarantine(ctx, key)
+	}
+	return err
+}
+
+// quarantine counts a damaged artifact in store.corrupt and moves it
+// out of the addressable namespace so the next load for its key misses
+// cleanly. Backends that cannot keep the bytes for post-mortem just
+// delete. Best-effort: a failure leaves the artifact to fail its CRC
+// again.
 func (s *Store) quarantine(ctx context.Context, key string) {
+	s.m.corrupt.Add(1)
 	if q, ok := s.b.(backend.Quarantiner); ok {
 		if q.Quarantine(ctx, key) == nil {
 			s.m.quarantined.Add(1)
@@ -314,7 +273,7 @@ func (s *Store) Put(ctx context.Context, key string, m *sim.Measurements) error 
 }
 
 // Has reports whether an artifact is stored under key (without
-// validating it; Get still decides whether it is usable).
+// validating it; GetArtifact still decides whether it is usable).
 func (s *Store) Has(ctx context.Context, key string) bool {
 	if checkKey(key) != nil {
 		return false
@@ -357,11 +316,11 @@ func (s *Store) Inspect(ctx context.Context, key string) (Info, error) {
 	if err != nil {
 		return Info{}, err
 	}
-	meta, secs, err := DecodeMeta(data)
+	a, err := Parse(data)
 	if err != nil {
 		return Info{}, err
 	}
-	return Info{Key: key, Bytes: ki.Bytes, ModTime: ki.ModTime, Meta: meta, Sections: secs}, nil
+	return Info{Key: key, Bytes: ki.Bytes, ModTime: ki.ModTime, Meta: a.Meta(), Sections: a.sections()}, nil
 }
 
 // List enumerates the stored artifacts, sorted by key. Damaged
@@ -454,7 +413,6 @@ func (s *Store) Scrub(ctx context.Context) (checked, damaged int, err error) {
 		if bad {
 			damaged++
 			s.m.scrubDamaged.Add(1)
-			s.m.corrupt.Add(1)
 			s.quarantine(ctx, ki.Key)
 		}
 	}

@@ -129,7 +129,12 @@ func TestDecodeRejectsTruncation(t *testing.T) {
 func TestDecodeMetaMatchesFull(t *testing.T) {
 	m := testMeasurements(t)
 	data := encoded(t)
-	meta, secs, err := DecodeMeta(data)
+	a, err := Parse(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	meta := a.Meta()
+	secs, err := CheckSections(data)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -180,7 +185,7 @@ func TestStorePutGetHasDelete(t *testing.T) {
 	m := testMeasurements(t)
 	key := KeyFor(m.Workload, sim.DefaultConfig())
 
-	if _, err := st.Get(ctx, key); !errors.Is(err, ErrNotFound) {
+	if _, err := st.GetArtifact(ctx, key); !errors.Is(err, ErrNotFound) {
 		t.Fatalf("want ErrNotFound before put, got %v", err)
 	}
 	if st.Has(ctx, key) {
@@ -192,11 +197,11 @@ func TestStorePutGetHasDelete(t *testing.T) {
 	if !st.Has(ctx, key) {
 		t.Error("no Has after put")
 	}
-	got, err := st.Get(ctx, key)
+	a, err := st.GetArtifact(ctx, key)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Workload != m.Workload || got.Cycles != m.Cycles {
+	if got := a.Meta(); got.Workload != m.Workload || got.Cycles != m.Cycles {
 		t.Errorf("get mismatch: %+v", got)
 	}
 	if err := st.Delete(ctx, key); err != nil {
@@ -217,8 +222,8 @@ func TestStoreRejectsMalformedKeys(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, key := range []string{"", "short", "../../../../etc/passwd", "ZZZZZZZZZZZZZZZZZZZZZZZZZZZZZZZZ"} {
-		if _, err := st.Get(ctx, key); err == nil {
-			t.Errorf("Get(%q) accepted", key)
+		if _, err := st.GetArtifact(ctx, key); err == nil {
+			t.Errorf("GetArtifact(%q) accepted", key)
 		}
 		if err := st.Put(ctx, key, testMeasurements(t)); err == nil {
 			t.Errorf("Put(%q) accepted", key)
@@ -252,9 +257,9 @@ func TestStoreQuarantinesCorruptArtifact(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	_, err = st.Get(ctx, key)
+	_, err = st.GetArtifact(ctx, key)
 	if err == nil {
-		t.Fatal("Get accepted corrupt artifact")
+		t.Fatal("GetArtifact accepted corrupt artifact")
 	}
 	if !errors.Is(err, ErrCorrupt) && !errors.Is(err, ErrFormat) {
 		t.Fatalf("untyped corruption error %v", err)
@@ -266,13 +271,13 @@ func TestStoreQuarantinesCorruptArtifact(t *testing.T) {
 		t.Errorf("quarantined file missing: %v", err)
 	}
 	// The key now misses cleanly: the fallback path is re-record.
-	if _, err := st.Get(ctx, key); !errors.Is(err, ErrNotFound) {
+	if _, err := st.GetArtifact(ctx, key); !errors.Is(err, ErrNotFound) {
 		t.Errorf("want ErrNotFound after quarantine, got %v", err)
 	}
 	if err := st.Put(ctx, key, m); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := st.Get(ctx, key); err != nil {
+	if _, err := st.GetArtifact(ctx, key); err != nil {
 		t.Errorf("re-record after quarantine failed: %v", err)
 	}
 }

@@ -2,10 +2,14 @@ package mbavf
 
 import (
 	"context"
+	"errors"
 	"os"
 	"path/filepath"
+	"sync/atomic"
 	"testing"
 	"time"
+
+	"mbavf/internal/store/mem"
 )
 
 // transientStore records a vecadd artifact, then replaces it with a
@@ -139,5 +143,61 @@ func TestStoreTransientFailureHonorsContext(t *testing.T) {
 		}
 	case <-time.After(10 * time.Second):
 		t.Fatal("cancelled retry did not return")
+	}
+}
+
+// flakyRanged is a ranged in-memory backend whose next section read
+// fails once armed: one network blip between a -store-url worker and
+// its artifact server.
+type flakyRanged struct {
+	*mem.Backend
+	fail atomic.Bool
+}
+
+func (b *flakyRanged) ReadSection(ctx context.Context, key string, off, n int64) ([]byte, error) {
+	if b.fail.CompareAndSwap(true, false) {
+		return nil, errors.New("connection refused")
+	}
+	return b.Backend.ReadSection(ctx, key, off, n)
+}
+
+// TestStoreSectionFetchRetries: a section fetch that fails fails only
+// the query that made it. The run stays usable — the next query fetches
+// the section again and answers == the direct simulation — instead of
+// repeating the stored error for as long as the run is cached.
+func TestStoreSectionFetchRetries(t *testing.T) {
+	ctx := context.Background()
+	direct, err := RunWorkloadContext(ctx, "vecadd")
+	if err != nil {
+		t.Fatal(err)
+	}
+	b := &flakyRanged{Backend: mem.NewRanged()}
+	rs := NewRunStore(b)
+	if err := rs.SaveContext(ctx, "vecadd", direct); err != nil {
+		t.Fatal(err)
+	}
+	loaded, err := rs.LoadContext(ctx, "vecadd")
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Decode the graph now, so the failed fetch below is the L2 section's.
+	if err := loaded.Preload(L1); err != nil {
+		t.Fatal(err)
+	}
+	il := Interleaving{Style: StyleWayPhysical, Factor: 2}
+	b.fail.Store(true)
+	if _, err := loaded.AVF(L2, Parity, il, 1); err == nil {
+		t.Fatal("AVF answered through a failed section fetch")
+	}
+	want, err := direct.AVF(L2, Parity, il, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := loaded.AVF(L2, Parity, il, 1)
+	if err != nil {
+		t.Fatalf("AVF after the failed fetch: %v", err)
+	}
+	if got != want {
+		t.Errorf("AVF after the failed fetch: stored %+v, direct %+v", got, want)
 	}
 }
