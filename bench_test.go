@@ -165,7 +165,9 @@ func BenchmarkAnalyzeVGPR(b *testing.B) {
 
 // BenchmarkSolve measures one MB-AVF analysis pass per structure and
 // fault mode on the packed solver. The l1/way-x2/2x1 case is the Figure
-// 4 analysis path.
+// 4 analysis path; between them the cases shift rows of every named
+// layout family (logical, way- and index-physical, intra- and
+// inter-thread).
 func BenchmarkSolve(b *testing.B) {
 	run, err := RunWorkloadContext(context.Background(), "minife")
 	if err != nil {
@@ -182,10 +184,13 @@ func BenchmarkSolve(b *testing.B) {
 		{"l1/logical-x2/2x1", L1, Interleaving{Style: StyleLogical, Factor: 2}, Parity, 2},
 		{"l1/way-x4/4x1", L1, Interleaving{Style: StyleWayPhysical, Factor: 4}, SECDED, 4},
 		{"l2/way-x2/2x1", L2, Interleaving{Style: StyleWayPhysical, Factor: 2}, Parity, 2},
+		{"l2/index-x2/2x1", L2, Interleaving{Style: StyleIndexPhysical, Factor: 2}, Parity, 2},
 		{"vgpr/tx-x4/4x1", VGPR, Interleaving{Style: StyleInterThread, Factor: 4}, Parity, 4},
+		{"vgpr/rx-x2/2x1", VGPR, Interleaving{Style: StyleIntraThread, Factor: 2}, Parity, 2},
 	}
 	for _, c := range cases {
 		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				if _, err := run.AVF(c.st, c.scheme, c.il, c.modeBits); err != nil {
 					b.Fatal(err)

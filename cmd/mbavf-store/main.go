@@ -19,6 +19,10 @@
 //	mbavf-store -dir runs verify               # per-section CRC + decode audit
 //	mbavf-store -dir runs gc -max-bytes 100000000 -dry-run
 //	mbavf-store -url http://storehost:8080 ls  # same, against a remote store
+//
+// Over -url, ls transfers only each artifact's section table and meta
+// section, so it flags framing and meta damage only; verify checks
+// every section CRC.
 package main
 
 import (
@@ -41,7 +45,9 @@ func usage() {
 
 commands:
   record <workload>... | all   simulate workloads and record their artifacts
-  ls                           list stored artifacts (damaged ones flagged)
+  ls                           list stored artifacts (damaged ones flagged; over
+                               -url only framing and meta damage, verify checks
+                               every CRC)
   inspect <key>                show one artifact's metadata and sections
   verify [<key>...]            check every section CRC and payload, report damage
   gc [-max-bytes N] [-dry-run] sweep quarantine/temp files, evict oldest over N

@@ -104,14 +104,6 @@ func (a *Analyzer) Validate() error {
 	return nil
 }
 
-// byteState is the resolved classification of all eight bits of one byte
-// slot over one time span: uarch ACEness is byte-uniform, program
-// liveness per bit.
-type byteState struct {
-	uarch bool
-	live  uint8
-}
-
 // byteCursor walks one byte slot's lifetime timeline in time order,
 // exposing a piecewise-constant state. Gaps between segments are dead.
 // The per-segment state is memoized so repeated spans within one segment
@@ -122,50 +114,27 @@ type byteCursor struct {
 	byteIdx  int // byte within word (for word-granular versions)
 	analyzer *Analyzer
 	cached   int // segment index the memoized state belongs to (-1 none)
-	state    byteState
+	state    lifetime.State
 }
 
 // stateAt returns the byte's state during [t, next); next is the first
 // cycle at which the state may change.
-func (c *byteCursor) stateAt(t interval.Cycle) (byteState, interval.Cycle) {
+func (c *byteCursor) stateAt(t interval.Cycle) (lifetime.State, interval.Cycle) {
 	for c.idx < len(c.segs) && c.segs[c.idx].End <= t {
 		c.idx++
 	}
 	if c.idx >= len(c.segs) {
-		return byteState{}, c.analyzer.TotalCycles
+		return lifetime.State{}, c.analyzer.TotalCycles
 	}
 	seg := c.segs[c.idx]
 	if t < seg.Start {
-		return byteState{}, seg.Start
+		return lifetime.State{}, seg.Start
 	}
 	if c.cached != c.idx {
-		c.state = c.analyzer.segStateByte(seg, c.byteIdx)
+		c.state = seg.Resolve(c.analyzer.Graph, c.analyzer.WordVersions, c.byteIdx)
 		c.cached = c.idx
 	}
 	return c.state, seg.End
-}
-
-// segStateByte classifies one lifetime segment of one byte slot.
-func (a *Analyzer) segStateByte(seg lifetime.Seg, byteIdx int) byteState {
-	var st byteState
-	switch seg.Kind {
-	case lifetime.SegDead:
-		return st
-	case lifetime.SegACE:
-		st.uarch = true
-	case lifetime.SegPending:
-		// A dirty-evicted value matters only if it is consumed after the
-		// eviction (the writeback corrupts the next level).
-		st.uarch = a.Graph.ReadAfter(seg.Version, seg.End)
-	}
-	if st.uarch {
-		vb := 0
-		if a.WordVersions {
-			vb = byteIdx
-		}
-		st.live = a.Graph.LiveByte(seg.Version, vb)
-	}
-	return st
 }
 
 // Counters accumulates classified cycles.
@@ -337,9 +306,15 @@ func (a *Analyzer) AnalyzeMany(window interval.Cycle, queries []Query) ([]*Serie
 	sp := obs.StartSpan2("analyze:", label)
 	defer sp.End()
 	// The SB-AVF numerators depend on neither scheme nor mode: one
-	// accumulation serves every query.
+	// accumulation serves every query, and the tracker's summary holds
+	// the whole-run ones.
+	sum := a.Tracker.Summary(a.Graph, a.WordVersions, a.TotalCycles)
 	bitSums := a.newSeries(window)
-	a.accumulateBits(bitSums, window)
+	if window == 0 {
+		bitSums.Total.BitUarch, bitSums.Total.BitLive = sum.BitUarch, sum.BitLive
+	} else {
+		a.accumulateBits(bitSums, window)
+	}
 
 	out := make([]*Series, len(queries))
 	// Queries of one mode height share one band sweep.
@@ -371,7 +346,7 @@ func (a *Analyzer) AnalyzeMany(window interval.Cycle, queries []Query) ([]*Serie
 	for _, g := range byHeight {
 		// The bands anchored at rows [0, Rows-h] are the shard units.
 		a.sharded(g.dst, geom.Rows-g.h+1, func(dst []*Series, lo, hi int) {
-			a.sweepBands(g.h, g.qs, dst, window, lo, hi)
+			a.sweepBands(g.h, g.qs, dst, window, sum, lo, hi)
 		})
 	}
 	return out, nil
@@ -506,11 +481,11 @@ func (a *Analyzer) accumulateBits(s *Series, window interval.Cycle) {
 				if end <= seg.Start {
 					continue
 				}
-				st := a.segStateByte(seg, b)
-				if !st.uarch {
+				st := seg.Resolve(a.Graph, a.WordVersions, b)
+				if !st.Uarch {
 					continue
 				}
-				liveBits := bits.OnesCount8(st.live)
+				liveBits := bits.OnesCount8(st.Live)
 				addBitCycles(s, window, 8, liveBits, seg.Start, end)
 			}
 		}

@@ -5,6 +5,7 @@ import (
 
 	"mbavf/internal/bitgeom"
 	"mbavf/internal/interval"
+	"mbavf/internal/lifetime"
 )
 
 // Locality quantifies the paper's ACE-locality property for one fault
@@ -49,7 +50,7 @@ func (a *Analyzer) ACELocality(mode bitgeom.FaultMode) (Locality, error) {
 	loc := Locality{ModeName: mode.Name(), Groups: groups}
 	msize := mode.Size()
 	cursors := make([]byteCursor, msize)
-	states := make([]byteState, msize)
+	states := make([]lifetime.State, msize)
 	bitBuf := make([]bitgeom.BitPos, 0, msize)
 	for gi := 0; gi < groups; gi++ {
 		bitBuf = geom.GroupBits(mode, gi, bitBuf[:0])
@@ -78,8 +79,8 @@ func (a *Analyzer) ACELocality(mode bitgeom.FaultMode) (Locality, error) {
 			}
 			any, all := false, true
 			for i := range states {
-				any = any || states[i].uarch
-				all = all && states[i].uarch
+				any = any || states[i].Uarch
+				all = all && states[i].Uarch
 			}
 			span := next - t
 			if any {

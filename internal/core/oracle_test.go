@@ -57,11 +57,11 @@ type bitState struct {
 }
 
 // segState classifies one lifetime segment of one bit: the per-bit
-// projection of segStateByte (uarch ACEness is byte-uniform, liveness
-// per bit), used by the brute-force reference.
+// projection of lifetime.Seg.Resolve (uarch ACEness is byte-uniform,
+// liveness per bit), used by the brute-force reference.
 func (a *Analyzer) segState(seg lifetime.Seg, byteIdx, bit int) bitState {
-	st := a.segStateByte(seg, byteIdx)
-	return bitState{uarch: st.uarch, live: st.live&(1<<bit) != 0}
+	st := seg.Resolve(a.Graph, a.WordVersions, byteIdx)
+	return bitState{uarch: st.Uarch, live: st.Live&(1<<bit) != 0}
 }
 
 // groupBit locates one group member bit: an index into the group's
@@ -152,7 +152,7 @@ func (a *Analyzer) sweepGroups(scheme ecc.Scheme, mode bitgeom.FaultMode, s *Ser
 // sweepOneGroup walks one group's merged timeline, classifying each
 // span.
 func (a *Analyzer) sweepOneGroup(cursors []byteCursor, regions []region, s *Series, window interval.Cycle) {
-	states := make([]byteState, len(cursors))
+	states := make([]lifetime.State, len(cursors))
 	t := interval.Cycle(0)
 	for t < a.TotalCycles {
 		next := a.TotalCycles
@@ -174,8 +174,8 @@ func (a *Analyzer) sweepOneGroup(cursors []byteCursor, regions []region, s *Seri
 			var uarch, live bool
 			for _, gb := range r.bits {
 				st := states[gb.cur]
-				uarch = uarch || st.uarch
-				live = live || st.live&gb.mask != 0
+				uarch = uarch || st.Uarch
+				live = live || st.Live&gb.mask != 0
 			}
 			switch r.reaction {
 			case ecc.ReactDetected:

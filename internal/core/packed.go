@@ -47,7 +47,9 @@ import (
 // Remapping, slot filtering, packing and the occupancy replay depend only
 // on (run, structure, layout, band), so they run once per band however
 // many queries the batch holds; only the partition classes and the
-// classification are per query.
+// classification are per query. A band none of whose words is ever
+// uarch-ACE (the tracker's lifetime.Summary) is not even remapped: every
+// group in it is unACE for the whole run.
 //
 // Counters are integer sums of span-length * class contributions: the
 // packed spans refine every group's own timeline (both are
@@ -65,6 +67,10 @@ var (
 	// obsRowsSkipped counts (query, band) pairs the packed solver skipped
 	// because every region of every fault group in the band is corrected.
 	obsRowsSkipped = obs.NewCounter("core.rows_skipped")
+	// obsBandsEmpty counts bands the packed solver skipped because no
+	// word of the band is ever uarch-ACE; each is also in
+	// core.packed_rows.
+	obsBandsEmpty = obs.NewCounter("core.bands_empty")
 )
 
 // planeCounts returns how many groups of one anchor word's class planes
@@ -97,14 +103,23 @@ type bandSweep struct {
 	stride int // flat positions per band row: cols rounded up to whole words
 	bpw    int // tracker bytes per word
 
+	sum *lifetime.Summary // the tracker's ACE summary
+
 	// The band's remap tables, flat by position: rms[k] views row k's
-	// stretch of word/bit/dom, so Layout.Row fills them in place.
+	// stretch of word/bit/dom, so Layout.Row fills them in place. filled
+	// is the band they hold (-1 none).
 	rms       []interleave.RowMap
 	word, bit []int32
 	dom       []int32
-	prevDom   []int32 // the previous band's dom
-	havePrev  bool
-	pk        lifetime.Packer
+	filled    int
+	// The previous band's domain pattern: for a compiled layout, its
+	// rows' domain shifts relative to its first row's (prevRel); for a
+	// custom one, its dom (prevDom).
+	compiled bool
+	prevRel  []int32
+	prevDom  []int32
+	havePrev bool
+	pk       lifetime.Packer
 
 	// Slot index: keySlot/keyStamp map tracker slot (word*bpw+byte) to a
 	// band-local slot id; stamped per band so no clearing is needed.
@@ -116,7 +131,7 @@ type bandSweep struct {
 	rawLists [][]lifetime.Seg // per slot: its tracker timeline
 	segLists [][]lifetime.Seg // per slot: filtered timeline (views into segBuf)
 	segBuf   []lifetime.Seg   // filtered-segment arena for the band
-	stateBuf []byteState      // per filtered segment: its resolved state
+	stateBuf []lifetime.State // per filtered segment: its resolved state
 	segOff   []int32          // per slot: offset into segBuf/stateBuf
 	slotPos  []int32          // positions grouped by slot (each ascending)
 	slotOff  []int32          // per slot: offset of its positions in slotPos
@@ -132,12 +147,13 @@ type bandSweep struct {
 	chg      []uint64
 	chgWords []int32
 
-	qs     []querySweep
-	active []*querySweep // the queries the current band needs
+	qs       []querySweep
+	active   []*querySweep // the queries the current band needs
+	rowWords []int32       // scratch: the words of one band row
 
-	bands, skipped, spans uint64 // observability totals
-	observing             bool
-	mergeChain            obs.LocalHist
+	bands, skipped, empty, spans uint64 // observability totals
+	observing                    bool
+	mergeChain                   obs.LocalHist
 }
 
 // querySweep is one query's part of a batched band sweep: its partition
@@ -197,13 +213,14 @@ func extract64(words []uint64, p int) uint64 {
 
 // newBandSweep allocates one worker's scratch for queries whose modes
 // are h rows tall, accumulating query i into dst[i].
-func (a *Analyzer) newBandSweep(h int, queries []Query, dst []*Series, window interval.Cycle) *bandSweep {
+func (a *Analyzer) newBandSweep(h int, queries []Query, dst []*Series, window interval.Cycle, sum *lifetime.Summary) *bandSweep {
 	geom := a.Layout.Geom
 	stride := (geom.Cols + 63) &^ 63
 	n := h * stride
 	rs := &bandSweep{
 		a:         a,
 		window:    window,
+		sum:       sum,
 		cols:      geom.Cols,
 		stride:    stride,
 		bpw:       a.Tracker.BytesPerWord(),
@@ -211,7 +228,8 @@ func (a *Analyzer) newBandSweep(h int, queries []Query, dst []*Series, window in
 		word:      make([]int32, n),
 		bit:       make([]int32, n),
 		dom:       make([]int32, n),
-		prevDom:   make([]int32, n),
+		filled:    -1,
+		prevRel:   make([]int32, h),
 		posSlot:   make([]int32, n),
 		posSrc:    make([]uint8, n),
 		uarch:     make([]uint64, n/64+1),
@@ -222,6 +240,9 @@ func (a *Analyzer) newBandSweep(h int, queries []Query, dst []*Series, window in
 	for k := range rs.rms {
 		lo, hi := k*stride, k*stride+geom.Cols
 		rs.rms[k] = interleave.RowMap{Word: rs.word[lo:hi], Bit: rs.bit[lo:hi], Dom: rs.dom[lo:hi]}
+	}
+	if _, _, rs.compiled = a.Layout.Shift(0); !rs.compiled {
+		rs.prevDom = make([]int32, n)
 	}
 	nslots := a.Tracker.Words() * rs.bpw
 	rs.keySlot = make([]int32, nslots)
@@ -246,26 +267,57 @@ func (a *Analyzer) newBandSweep(h int, queries []Query, dst []*Series, window in
 // sweepBands classifies every fault group of every query anchored in
 // rows [rowLo, rowHi); every query's mode is h rows tall. Query i
 // accumulates into dst[i].
-func (a *Analyzer) sweepBands(h int, queries []Query, dst []*Series, window interval.Cycle, rowLo, rowHi int) {
-	rs := a.newBandSweep(h, queries, dst, window)
+func (a *Analyzer) sweepBands(h int, queries []Query, dst []*Series, window interval.Cycle, sum *lifetime.Summary, rowLo, rowHi int) {
+	rs := a.newBandSweep(h, queries, dst, window, sum)
 	for r := rowLo; r < rowHi; r++ {
 		rs.solveBand(r)
 	}
 	obsPackedRows.Add(rs.bands)
 	obsRowsSkipped.Add(rs.skipped)
+	obsBandsEmpty.Add(rs.empty)
 	obsMerges.Add(rs.spans)
 	rs.mergeChain.FlushTo(obsMergeChain)
 }
 
-// samePattern reports whether the band's domains are the previous band's
-// shifted by one constant, so that exactly the same bits share a
-// protection domain and every partition class still holds. (Every named
-// layout's rows are such shifts of each other; a band whose domains
-// relate to the previous band's any other way rebuilds the classes,
-// which costs time, never correctness.) It then records the band's
-// domains for the next call.
-func (rs *bandSweep) samePattern() bool {
+// fill remaps the band anchored at row r into rms, unless they hold it
+// already.
+func (rs *bandSweep) fill(r int) {
+	if rs.filled == r {
+		return
+	}
+	for k := range rs.rms {
+		rs.a.Layout.Row(r+k, &rs.rms[k])
+	}
+	rs.filled = r
+}
+
+// samePattern reports whether the domains of the band anchored at row r
+// are the previous band's shifted by one constant, so that exactly the
+// same bits share a protection domain and every partition class still
+// holds. (Every named layout's rows are such shifts of each other; a
+// band whose domains relate to the previous band's any other way
+// rebuilds the classes, which costs time, never correctness.) It then
+// records the band's pattern for the next call.
+func (rs *bandSweep) samePattern(r int) bool {
 	same := rs.havePrev
+	rs.havePrev = true
+	if rs.compiled {
+		// Row k's domains are row 0's plus the row's shift, so the band's
+		// domains are the previous band's plus one constant exactly when
+		// its rows' shifts relative to its first row's are the previous
+		// band's: no row needs remapping to tell.
+		var base int32
+		for k := range rs.prevRel {
+			_, d, _ := rs.a.Layout.Shift(r + k)
+			if k == 0 {
+				base = d
+			}
+			same = same && d-base == rs.prevRel[k]
+			rs.prevRel[k] = d - base
+		}
+		return same
+	}
+	rs.fill(r)
 	shift := rs.dom[0] - rs.prevDom[0]
 	for k := 0; same && k < len(rs.rms); k++ {
 		prev := rs.prevDom[k*rs.stride:]
@@ -277,7 +329,6 @@ func (rs *bandSweep) samePattern() bool {
 		}
 	}
 	copy(rs.prevDom, rs.dom)
-	rs.havePrev = true
 	return same
 }
 
@@ -285,14 +336,12 @@ func (rs *bandSweep) samePattern() bool {
 // every query that can count in it.
 func (rs *bandSweep) solveBand(r int) {
 	a := rs.a
-	for k := range rs.rms {
-		a.Layout.Row(r+k, &rs.rms[k])
-	}
-	same := rs.samePattern() // false on a worker's first band
+	same := rs.samePattern(r) // false on a worker's first band
 	rs.active = rs.active[:0]
 	for i := range rs.qs {
 		q := &rs.qs[i]
 		if !same {
+			rs.fill(r)
 			q.buildClasses(rs.dom)
 		}
 		if !q.counted {
@@ -306,6 +355,18 @@ func (rs *bandSweep) solveBand(r int) {
 		return // no query can count here: never packed
 	}
 	rs.bands++
+	if !rs.anyACE(r) {
+		// Every group is unACE for the whole run. The band counts as the
+		// sweep of an empty band: one span, never remapped, slotted or
+		// packed.
+		rs.empty++
+		rs.spans++
+		if rs.observing {
+			rs.mergeChain.Observe(1)
+		}
+		return
+	}
+	rs.fill(r)
 	rs.buildSlots()
 	p := rs.pk.Pack(rs.segLists, a.TotalCycles)
 	clear(rs.uarch)
@@ -315,7 +376,7 @@ func (rs *bandSweep) solveBand(r int) {
 	for i := 0; i < nspans; i++ {
 		t, _ := p.Span(i)
 		for _, ch := range p.Changes(i) {
-			var st byteState
+			var st lifetime.State
 			if ch.Seg >= 0 {
 				st = rs.stateBuf[rs.segOff[ch.Slot]+ch.Seg]
 			}
@@ -323,10 +384,10 @@ func (rs *bandSweep) solveBand(r int) {
 				w, b := pos>>6, uint(pos&63)
 				bit := uint64(1) << b
 				var nu, nl uint64
-				if st.uarch {
+				if st.Uarch {
 					nu = bit
 				}
-				if st.live>>(rs.posSrc[pos]&7)&1 != 0 {
+				if st.Live>>(rs.posSrc[pos]&7)&1 != 0 {
 					nl = bit
 				}
 				if rs.uarch[w]&bit == nu && rs.live[w]&bit == nl {
@@ -360,6 +421,20 @@ func (rs *bandSweep) solveBand(r int) {
 	if rs.observing {
 		rs.mergeChain.Observe(uint64(nspans))
 	}
+}
+
+// anyACE reports whether any word of the band anchored at row r is ever
+// uarch-ACE.
+func (rs *bandSweep) anyACE(r int) bool {
+	for k := range rs.rms {
+		rs.rowWords = rs.a.Layout.RowWords(r+k, rs.rowWords[:0])
+		for _, w := range rs.rowWords {
+			if rs.sum.ACE(int(w)) {
+				return true
+			}
+		}
+	}
+	return false
 }
 
 // buildSlots resolves the band's positions to tracker byte slots and
@@ -400,8 +475,8 @@ func (rs *bandSweep) buildSlots() {
 		rs.segOff[i] = int32(len(rs.segBuf))
 		byteIdx := int(rs.slotByte[i])
 		for _, sg := range rs.rawLists[i] {
-			st := rs.a.segStateByte(sg, byteIdx)
-			if !st.uarch {
+			st := sg.Resolve(rs.a.Graph, rs.a.WordVersions, byteIdx)
+			if !st.Uarch {
 				continue
 			}
 			if k := len(rs.segBuf); k > int(rs.segOff[i]) && rs.segBuf[k-1].End == sg.Start && rs.stateBuf[k-1] == st {
@@ -512,7 +587,7 @@ func (q *querySweep) classOf() int {
 // planes evaluates the class for the 64 anchors from base: whether a
 // detected region is ACE (d), an undetected region is live (s), and a
 // detected region is both ACE and live (t). A live bit is always
-// uarch-ACE (segStateByte resolves liveness only for uarch-ACE
+// uarch-ACE (lifetime.Seg.Resolve resolves liveness only for uarch-ACE
 // segments), so a detected region is both exactly when one of its bits
 // is live, and t needs no per-region lists.
 func (c *partClass) planes(uarch, live []uint64, base int) (d, s, t uint64) {

@@ -22,6 +22,7 @@ package interleave
 
 import (
 	"fmt"
+	"slices"
 
 	"mbavf/internal/bitgeom"
 )
@@ -50,6 +51,12 @@ type Layout struct {
 	// Factor is the interleaving degree I (1 = no interleaving).
 	Factor int
 	mapFn  func(p bitgeom.BitPos) (WordBit, int)
+	// row0 is row 0's remap table when every row is row 0 with its words
+	// and domains shifted by one constant each and its bits unchanged,
+	// as for every named constructor; nil for custom layouts. row0Words
+	// lists row 0's distinct words.
+	row0      *RowMap
+	row0Words []int32
 }
 
 // Name returns the layout's display name, e.g. "way-physical-x2".
@@ -68,7 +75,9 @@ type RowMap struct {
 }
 
 // Row fills m with the remap table of physical row r, reusing m's
-// backing arrays across calls.
+// backing arrays across calls. A named layout's row is row 0's table
+// shifted by the row's offsets, one Map call per row; a custom layout
+// maps every column.
 func (l *Layout) Row(r int, m *RowMap) {
 	cols := l.Geom.Cols
 	if cap(m.Word) < cols {
@@ -77,10 +86,71 @@ func (l *Layout) Row(r int, m *RowMap) {
 		m.Dom = make([]int32, cols)
 	}
 	m.Word, m.Bit, m.Dom = m.Word[:cols], m.Bit[:cols], m.Dom[:cols]
+	if l.row0 != nil {
+		dw, dd, _ := l.Shift(r)
+		for c, w := range l.row0.Word {
+			m.Word[c] = w + dw
+		}
+		for c, d := range l.row0.Dom {
+			m.Dom[c] = d + dd
+		}
+		copy(m.Bit, l.row0.Bit)
+		return
+	}
 	for c := 0; c < cols; c++ {
 		wb, dom := l.mapFn(bitgeom.BitPos{Row: r, Col: c})
 		m.Word[c], m.Bit[c], m.Dom[c] = int32(wb.Word), int32(wb.Bit), int32(dom)
 	}
+}
+
+// Shift returns how far row r's words and domains sit from row 0's, and
+// whether the layout is compiled: every row is row 0 shifted that way,
+// its bits unchanged. Every named layout is; no custom one is.
+func (l *Layout) Shift(r int) (word, dom int32, ok bool) {
+	if l.row0 == nil {
+		return 0, 0, false
+	}
+	wb, d := l.mapFn(bitgeom.BitPos{Row: r})
+	return int32(wb.Word) - l.row0.Word[0], int32(d) - l.row0.Dom[0], true
+}
+
+// RowWords appends to dst the logical words that physical row r holds,
+// each at least once, and returns the extended slice. A named layout
+// shifts row 0's distinct words without mapping the row.
+func (l *Layout) RowWords(r int, dst []int32) []int32 {
+	if l.row0 != nil {
+		dw, _, _ := l.Shift(r)
+		for _, w := range l.row0Words {
+			dst = append(dst, w+dw)
+		}
+		return dst
+	}
+	for c := 0; c < l.Geom.Cols; c++ {
+		wb, _ := l.mapFn(bitgeom.BitPos{Row: r, Col: c})
+		if n := len(dst); n == 0 || dst[n-1] != int32(wb.Word) {
+			dst = append(dst, int32(wb.Word))
+		}
+	}
+	return dst
+}
+
+// compiled builds l's row-0 table, which Row and RowWords then shift
+// for every row. Only layouts whose rows are all shifts of row 0 may be
+// compiled; TestRowMatchesMap checks every named constructor. A layout
+// with no rows has no row 0 (and its map may divide by zero).
+func compiled(l *Layout) *Layout {
+	if l.Geom.Rows == 0 {
+		return l
+	}
+	var m RowMap
+	l.Row(0, &m)
+	for _, w := range m.Word {
+		if !slices.Contains(l.row0Words, w) {
+			l.row0Words = append(l.row0Words, w)
+		}
+	}
+	l.row0 = &m
+	return l
 }
 
 // NewCustom returns a layout with an arbitrary bit mapping. It exists
@@ -130,7 +200,7 @@ func Logical(words, wordBits, factor int) (*Layout, error) {
 	if factor > 1 {
 		name = fmt.Sprintf("logical-x%d", factor)
 	}
-	return &Layout{
+	return compiled(&Layout{
 		name:       name,
 		Geom:       bitgeom.Geometry{Rows: words, Cols: wordBits},
 		Words:      words,
@@ -141,7 +211,7 @@ func Logical(words, wordBits, factor int) (*Layout, error) {
 		mapFn: func(p bitgeom.BitPos) (WordBit, int) {
 			return WordBit{Word: p.Row, Bit: p.Col}, p.Row*factor + p.Col%factor
 		},
-	}, nil
+	}), nil
 }
 
 // WayPhysical returns a cache-data-array layout interleaving lines from
@@ -154,7 +224,7 @@ func WayPhysical(sets, ways, lineBits, factor int) (*Layout, error) {
 		return nil, err
 	}
 	words := sets * ways
-	return &Layout{
+	return compiled(&Layout{
 		name:       fmt.Sprintf("way-physical-x%d", factor),
 		Geom:       bitgeom.Geometry{Rows: words / factor, Cols: lineBits * factor},
 		Words:      words,
@@ -170,7 +240,7 @@ func WayPhysical(sets, ways, lineBits, factor int) (*Layout, error) {
 			word := set*ways + way
 			return WordBit{Word: word, Bit: p.Col / factor}, word
 		},
-	}, nil
+	}), nil
 }
 
 // IndexPhysical returns a cache-data-array layout interleaving lines from
@@ -182,7 +252,7 @@ func IndexPhysical(sets, ways, lineBits, factor int) (*Layout, error) {
 		return nil, err
 	}
 	words := sets * ways
-	return &Layout{
+	return compiled(&Layout{
 		name:       fmt.Sprintf("index-physical-x%d", factor),
 		Geom:       bitgeom.Geometry{Rows: words / factor, Cols: lineBits * factor},
 		Words:      words,
@@ -198,7 +268,7 @@ func IndexPhysical(sets, ways, lineBits, factor int) (*Layout, error) {
 			word := set*ways + way
 			return WordBit{Word: word, Bit: p.Col / factor}, word
 		},
-	}, nil
+	}), nil
 }
 
 // IntraThread returns a register-file layout ("rx" interleaving in the
@@ -211,7 +281,7 @@ func IntraThread(threads, regs, regBits, factor int) (*Layout, error) {
 		return nil, err
 	}
 	words := threads * regs
-	return &Layout{
+	return compiled(&Layout{
 		name:       fmt.Sprintf("intra-thread-x%d", factor),
 		Geom:       bitgeom.Geometry{Rows: words / factor, Cols: regBits * factor},
 		Words:      words,
@@ -227,7 +297,7 @@ func IntraThread(threads, regs, regBits, factor int) (*Layout, error) {
 			word := thread*regs + reg
 			return WordBit{Word: word, Bit: p.Col / factor}, word
 		},
-	}, nil
+	}), nil
 }
 
 // InterThread returns a register-file layout ("tx" interleaving in the
@@ -240,7 +310,7 @@ func InterThread(threads, regs, regBits, factor int) (*Layout, error) {
 		return nil, err
 	}
 	words := threads * regs
-	return &Layout{
+	return compiled(&Layout{
 		name:       fmt.Sprintf("inter-thread-x%d", factor),
 		Geom:       bitgeom.Geometry{Rows: words / factor, Cols: regBits * factor},
 		Words:      words,
@@ -256,5 +326,5 @@ func InterThread(threads, regs, regBits, factor int) (*Layout, error) {
 			word := thread*regs + reg
 			return WordBit{Word: word, Bit: p.Col / factor}, word
 		},
-	}, nil
+	}), nil
 }

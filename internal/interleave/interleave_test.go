@@ -1,9 +1,11 @@
 package interleave
 
 import (
+	"maps"
 	"testing"
 
 	"mbavf/internal/bitgeom"
+	"mbavf/internal/sim"
 )
 
 // checkBijection verifies that the layout maps physical bits one-to-one
@@ -229,43 +231,109 @@ func TestAllLayoutsBijective(t *testing.T) {
 
 // TestRowMatchesMap checks the packed solver's remap table against the
 // point query it caches: Row(r) must agree with Map at every column of
-// every row, for every layout family, with buffers reused across rows.
+// every row, and RowWords(r) must list exactly the words Map puts in row
+// r, with buffers reused across rows. Every named family is compiled
+// (each row is row 0 shifted), so it runs at factors 1, 2 and 4 over
+// small shapes and over the simulated machine's L1, L2 and VGPR, whose
+// index-physical and inter-thread rows shift by offsets that are not a
+// multiple of the row index.
 func TestRowMatchesMap(t *testing.T) {
-	mk := func(f func() (*Layout, error)) *Layout {
-		t.Helper()
-		l, err := f()
-		if err != nil {
-			t.Fatal(err)
+	cfg := sim.DefaultConfig()
+	l1, l2 := cfg.Caches.L1, cfg.Caches.L2
+	lineBits := l1.LineBytes * 8
+	type family struct {
+		name string
+		mk   func(factor int) (*Layout, error)
+	}
+	cacheFamilies := func(tag string, sets, ways int) []family {
+		return []family{
+			{tag + "/way-physical", func(f int) (*Layout, error) { return WayPhysical(sets, ways, lineBits, f) }},
+			{tag + "/index-physical", func(f int) (*Layout, error) { return IndexPhysical(sets, ways, lineBits, f) }},
+			{tag + "/logical", func(f int) (*Layout, error) { return Logical(sets*ways, lineBits, f) }},
 		}
-		return l
 	}
-	layouts := []*Layout{
-		mk(func() (*Layout, error) { return Logical(8, 64, 4) }),
-		mk(func() (*Layout, error) { return WayPhysical(4, 4, 32, 2) }),
-		mk(func() (*Layout, error) { return IndexPhysical(8, 2, 32, 4) }),
-		mk(func() (*Layout, error) { return IntraThread(4, 8, 32, 4) }),
-		mk(func() (*Layout, error) { return InterThread(8, 4, 32, 2) }),
-		mk(func() (*Layout, error) {
-			return NewCustom("custom-65", bitgeom.Geometry{Rows: 3, Cols: 65}, 3, 72, 3, 1,
-				func(p bitgeom.BitPos) (WordBit, int) {
-					return WordBit{Word: p.Row, Bit: p.Col}, p.Row
-				})
-		}),
+	vgprFamilies := func(tag string, threads, regs int) []family {
+		return []family{
+			{tag + "/intra-thread", func(f int) (*Layout, error) { return IntraThread(threads, regs, 32, f) }},
+			{tag + "/inter-thread", func(f int) (*Layout, error) { return InterThread(threads, regs, 32, f) }},
+			{tag + "/logical", func(f int) (*Layout, error) { return Logical(threads*regs, 32, f) }},
+		}
 	}
+	var families []family
+	families = append(families, cacheFamilies("small", 8, 4)...)
+	families = append(families, vgprFamilies("small", 8, 4)...)
+	families = append(families, cacheFamilies("l1", l1.Sets(), l1.Ways)...)
+	families = append(families, cacheFamilies("l2", l2.Sets(), l2.Ways)...)
+	families = append(families, vgprFamilies("vgpr", cfg.GPU.VGPRThreads(), cfg.GPU.NumVRegs)...)
+
+	var layouts []*Layout
+	for _, fam := range families {
+		for _, factor := range []int{1, 2, 4} {
+			l, err := fam.mk(factor)
+			if err != nil {
+				t.Fatalf("%s x%d: %v", fam.name, factor, err)
+			}
+			if l.row0 == nil {
+				t.Fatalf("%s x%d: named layout not compiled", fam.name, factor)
+			}
+			layouts = append(layouts, l)
+		}
+	}
+	custom, err := NewCustom("custom-65", bitgeom.Geometry{Rows: 3, Cols: 65}, 3, 72, 3, 1,
+		func(p bitgeom.BitPos) (WordBit, int) {
+			return WordBit{Word: p.Row, Bit: p.Col}, p.Row
+		})
+	if err != nil {
+		t.Fatal(err)
+	}
+	layouts = append(layouts, custom)
+
 	var m RowMap
+	var words []int32
 	for _, l := range layouts {
 		for r := 0; r < l.Geom.Rows; r++ {
 			l.Row(r, &m)
 			if len(m.Word) != l.Geom.Cols {
 				t.Fatalf("%s row %d: table has %d cols, want %d", l.Name(), r, len(m.Word), l.Geom.Cols)
 			}
+			want := map[int32]bool{}
 			for c := 0; c < l.Geom.Cols; c++ {
 				wb, dom := l.Map(bitgeom.BitPos{Row: r, Col: c})
 				if int(m.Word[c]) != wb.Word || int(m.Bit[c]) != wb.Bit || int(m.Dom[c]) != dom {
 					t.Fatalf("%s (%d,%d): Row gives (%d,%d,%d), Map gives (%d,%d,%d)",
 						l.Name(), r, c, m.Word[c], m.Bit[c], m.Dom[c], wb.Word, wb.Bit, dom)
 				}
+				want[int32(wb.Word)] = true
 			}
+			words = l.RowWords(r, words[:0])
+			got := map[int32]bool{}
+			for _, w := range words {
+				got[w] = true
+			}
+			if !maps.Equal(got, want) {
+				t.Fatalf("%s row %d: RowWords gives %v, Map gives words %v", l.Name(), r, words, want)
+			}
+		}
+	}
+}
+
+// TestEmptyGeometries builds every named layout over a structure with
+// no words, as a damaged run artifact's geometry can declare: the layout
+// must come back with no rows rather than panic.
+func TestEmptyGeometries(t *testing.T) {
+	for name, mk := range map[string]func() (*Layout, error){
+		"way-physical":   func() (*Layout, error) { return WayPhysical(4, 0, 64, 2) },
+		"index-physical": func() (*Layout, error) { return IndexPhysical(0, 4, 64, 2) },
+		"intra-thread":   func() (*Layout, error) { return IntraThread(4, 0, 32, 2) },
+		"inter-thread":   func() (*Layout, error) { return InterThread(0, 4, 32, 2) },
+		"logical":        func() (*Layout, error) { return Logical(0, 32, 2) },
+	} {
+		l, err := mk()
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if l.Geom.Rows != 0 {
+			t.Errorf("%s: %d rows, want 0", name, l.Geom.Rows)
 		}
 	}
 }

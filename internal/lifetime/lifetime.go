@@ -121,6 +121,13 @@ type Tracker struct {
 	logged int64
 	sealed atomic.Int64
 	mu     sync.Mutex
+
+	// finished is set by Finish and Adopt: the segments can no longer
+	// grow, so sum, the Summary last built under sumKey, can be kept.
+	finished bool
+	sumMu    sync.Mutex
+	sumKey   summaryKey
+	sum      *Summary
 }
 
 // NewTracker returns a tracker for a structure of words logical words of
@@ -207,9 +214,10 @@ func (t *Tracker) CloseDirty(word, b int, cycle interval.Cycle) {
 }
 
 // Finish closes every still-open slot as dead at the end cycle, seals
-// the recording log and drops it. Callers that need dirty end-of-run
-// state to stay visible should flush their structures (producing
-// CloseDirty events) before calling Finish.
+// the recording log and drops it. It ends the recording: a finished
+// tracker records nothing more, which is what lets it keep its Summary.
+// Callers that need dirty end-of-run state to stay visible should flush
+// their structures (producing CloseDirty events) before calling Finish.
 func (t *Tracker) Finish(end interval.Cycle) {
 	for i := range t.held {
 		if t.held[i] {
@@ -222,6 +230,7 @@ func (t *Tracker) Finish(end interval.Cycle) {
 	}
 	t.pages, t.logged = nil, 0
 	t.sealed.Store(0)
+	t.finished = true
 	t.publishObs()
 }
 
@@ -340,5 +349,5 @@ func Adopt(words, bytesPerWord int, segs [][]Seg) (*Tracker, error) {
 		return nil, fmt.Errorf("lifetime: inconsistent adoption (%d words x %d bytes, %d slots)",
 			words, bytesPerWord, len(segs))
 	}
-	return &Tracker{words: words, bytesPerWord: bytesPerWord, segs: segs}, nil
+	return &Tracker{words: words, bytesPerWord: bytesPerWord, segs: segs, finished: true}, nil
 }

@@ -158,11 +158,7 @@ func (s *Store) GetArtifact(ctx context.Context, key string) (*Artifact, error) 
 	if err := checkKey(key); err != nil {
 		return nil, err
 	}
-	load := s.loadBlob
-	if s.ranged {
-		load = s.loadRanged
-	}
-	a, err := load(ctx, key)
+	a, err := s.load(ctx, key)
 	switch {
 	case err == nil:
 		s.m.hits.Add(1)
@@ -172,6 +168,16 @@ func (s *Store) GetArtifact(ctx context.Context, key string) (*Artifact, error) 
 		s.quarantineDamaged(ctx, key, err)
 	}
 	return a, err
+}
+
+// load builds the artifact under key through the backend's load path:
+// the whole blob from a local backend, the section table and meta
+// section from a ranged one.
+func (s *Store) load(ctx context.Context, key string) (*Artifact, error) {
+	if s.ranged {
+		return s.loadRanged(ctx, key)
+	}
+	return s.loadBlob(ctx, key)
 }
 
 // loadBlob reads the whole blob and parses it, verifying every CRC: on
@@ -325,7 +331,12 @@ func (s *Store) Inspect(ctx context.Context, key string) (Info, error) {
 
 // List enumerates the stored artifacts, sorted by key. Damaged
 // artifacts are included with Err set rather than hidden, so
-// `mbavf-store ls` shows them.
+// `mbavf-store ls` shows them. Each artifact loads the way GetArtifact
+// loads it, without its hit and miss counts or quarantine, since a
+// listing is a diagnostic: a local backend reads the whole blob and
+// verifies every CRC, a ranged one transfers only the section table and
+// the meta section, so it flags framing and meta damage only (Verify
+// checks every CRC).
 func (s *Store) List(ctx context.Context) ([]Info, error) {
 	kis, err := s.b.List(ctx)
 	if err != nil {
@@ -334,12 +345,15 @@ func (s *Store) List(ctx context.Context) ([]Info, error) {
 	sort.Slice(kis, func(i, j int) bool { return kis[i].Key < kis[j].Key })
 	out := make([]Info, 0, len(kis))
 	for _, ki := range kis {
-		info, err := s.Inspect(ctx, ki.Key)
-		if err != nil {
-			if errors.Is(err, ErrNotFound) {
-				continue // raced with a concurrent delete
-			}
-			info = Info{Key: ki.Key, Bytes: ki.Bytes, ModTime: ki.ModTime, Err: err}
+		info := Info{Key: ki.Key, Bytes: ki.Bytes, ModTime: ki.ModTime}
+		a, err := s.load(ctx, ki.Key)
+		switch {
+		case errors.Is(err, ErrNotFound):
+			continue // raced with a concurrent delete
+		case err != nil:
+			info.Err = err
+		default:
+			info.Meta, info.Sections = a.Meta(), a.sections()
 		}
 		out = append(out, info)
 	}

@@ -4,14 +4,19 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"mbavf/internal/sim"
 	"mbavf/internal/store/backend"
+	"mbavf/internal/store/httpstore"
+	"mbavf/internal/store/mem"
 	"mbavf/internal/workloads"
 )
 
@@ -407,5 +412,57 @@ func TestEncodeRequiresInstrumentation(t *testing.T) {
 	var buf bytes.Buffer
 	if err := Encode(&buf, &partial); err == nil {
 		t.Error("Encode accepted uninstrumented measurements")
+	}
+}
+
+// countingWriter counts the response bytes an artifact server sends.
+type countingWriter struct {
+	http.ResponseWriter
+	sent *atomic.Int64
+}
+
+func (w countingWriter) Write(p []byte) (int, error) {
+	n, err := w.ResponseWriter.Write(p)
+	w.sent.Add(int64(n))
+	return n, err
+}
+
+// TestStoreListRanged lists a store over HTTP: List loads each artifact
+// the way GetArtifact does over a ranged backend, so the listing of one
+// vecadd artifact moves its section table and meta section, not the
+// half-megabyte artifact.
+func TestStoreListRanged(t *testing.T) {
+	ctx := context.Background()
+	mux := http.NewServeMux()
+	httpstore.NewServer(mem.New()).Mount(mux)
+	var sent atomic.Int64
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		mux.ServeHTTP(countingWriter{w, &sent}, r)
+	}))
+	defer srv.Close()
+	st := NewStore(httpstore.New(srv.URL))
+	m := testMeasurements(t)
+	key := KeyFor(m.Workload, sim.DefaultConfig())
+	if err := st.Put(ctx, key, m); err != nil {
+		t.Fatal(err)
+	}
+	whole, err := EncodedBytes(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	sent.Store(0)
+	infos, err := st.List(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(infos) != 1 || infos[0].Err != nil || infos[0].Key != key {
+		t.Fatalf("List = %+v, want the one %s artifact undamaged", infos, key)
+	}
+	if in := infos[0]; in.Meta.Workload != m.Workload || in.Meta.Cycles != m.Cycles || in.Bytes != int64(len(whole)) || len(in.Sections) != 5 {
+		t.Errorf("listed %+v, want the %d-byte %s artifact's meta and 5 sections", in, len(whole), m.Workload)
+	}
+	if n := sent.Load(); n >= 4<<10 {
+		t.Errorf("List moved %d bytes of a %d-byte artifact, want under 4 KiB", n, len(whole))
 	}
 }

@@ -4,8 +4,10 @@
 # protocol (/store/v1), two worker processes point at it with
 # -store-url, and the same query is sent to both. Exactly one worker
 # may simulate; the other must answer from the shared store via ranged
-# section fetches — transferring less than the whole artifact. Used by
-# `make store-smoke` and the CI store-smoke step.
+# section fetches — transferring less than the whole artifact. Then
+# mbavf-store lists the remote store, which must show the one recorded
+# artifact undamaged. Used by `make store-smoke` and the CI store-smoke
+# step.
 set -eu
 
 STORE_ADDR="127.0.0.1:18090"
@@ -13,10 +15,12 @@ W1_ADDR="127.0.0.1:18091"
 W2_ADDR="127.0.0.1:18092"
 WORK="$(mktemp -d)"
 BIN="$WORK/mbavf-serve"
+STORE_BIN="$WORK/mbavf-store"
 STORE="$WORK/store"
 trap 'kill "$STORE_PID" "$W1_PID" "$W2_PID" 2>/dev/null || true; rm -rf "$WORK"' EXIT
 
 go build -o "$BIN" ./cmd/mbavf-serve
+go build -o "$STORE_BIN" ./cmd/mbavf-store
 
 wait_up() { # addr pid name
     for i in $(seq 1 50); do
@@ -82,6 +86,16 @@ if [ "$READ_BYTES" -ge "$ART_BYTES" ]; then
     exit 1
 fi
 echo "lazy fetch: $READ_BYTES of $ART_BYTES artifact bytes transferred"
+
+echo "--- mbavf-store lists the remote store: one vecadd artifact, none damaged"
+LS="$("$STORE_BIN" -url "http://$STORE_ADDR" ls)"
+echo "$LS"
+if echo "$LS" | grep -q 'DAMAGED'; then
+    echo "mbavf-store ls flagged a damaged artifact" >&2
+    exit 1
+fi
+ROWS=$(echo "$LS" | awk '$2 == "vecadd"' | wc -l)
+[ "$ROWS" = 1 ] || { echo "mbavf-store ls shows $ROWS vecadd rows, want 1" >&2; exit 1; }
 
 echo "--- graceful drain of the whole fleet"
 kill -TERM "$W1_PID" "$W2_PID"

@@ -214,10 +214,11 @@ func TestStoreCorruptionFallsBackToSimulation(t *testing.T) {
 }
 
 // TestStoreLazyConcurrentQueries exercises the lazily decoding load
-// path under concurrent first-touch queries: section decoding is
-// memoized behind sync.Once inside the artifact, so racing queries must
-// neither decode twice nor observe partial state (this test is the race
-// detector's coverage of that path — it stays enabled in -short).
+// path under concurrent first-touch queries: each section sits behind
+// its own lock inside the artifact, which keeps only a successful
+// decode, so racing queries must neither decode twice nor observe
+// partial state (this test is the race detector's coverage of that
+// path — it stays enabled in -short).
 func TestStoreLazyConcurrentQueries(t *testing.T) {
 	rs, err := OpenRunStore(t.TempDir())
 	if err != nil {
