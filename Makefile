@@ -1,8 +1,13 @@
 GO ?= go
 
-.PHONY: all build vet test race race-fabric race-solver race-inject race-store ci bench bench-check fuzz-smoke serve-smoke fabric-smoke store-smoke clean
+.PHONY: all fmt-check build vet test race race-fabric race-solver race-inject race-store ci bench bench-check fuzz-smoke serve-smoke fabric-smoke store-smoke clean
 
 all: vet build test
+
+# The tree stays gofmt-clean: print every file gofmt would rewrite and
+# fail if there is one.
+fmt-check:
+	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "gofmt -l:"; echo "$$out"; exit 1; fi
 
 build:
 	$(GO) build ./...
@@ -72,7 +77,7 @@ store-smoke:
 	./scripts/store-smoke.sh
 
 # The blocking steps of .github/workflows/ci.yml, in its order.
-ci: vet build test race race-fabric race-solver race-inject race-store serve-smoke fabric-smoke store-smoke fuzz-smoke bench-check
+ci: fmt-check vet build test race race-fabric race-solver race-inject race-store serve-smoke fabric-smoke store-smoke fuzz-smoke bench-check
 
 bench:
 	$(GO) test -bench=. -benchtime=1x -run=^$$ .

@@ -21,7 +21,6 @@ import (
 	"syscall"
 	"time"
 
-	"mbavf"
 	"mbavf/internal/experiments"
 	"mbavf/internal/obs"
 	"mbavf/internal/report"
@@ -86,7 +85,7 @@ func main() {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
-	opts := mbavf.ExperimentOptions{
+	opts := experiments.Options{
 		Injections:    *injections,
 		Windows:       *windows,
 		AVFWindows:    *avfWindows,
@@ -105,11 +104,6 @@ func main() {
 			}
 		}
 	}
-	// Fail fast on bad policy knobs (unknown names, negative scrub
-	// interval) before any simulation starts.
-	if err := opts.Validate(); err != nil {
-		fail("%v", err)
-	}
 	if *fabricWorkers != "" {
 		for _, p := range strings.Split(*fabricWorkers, ",") {
 			if p = strings.TrimSpace(p); p != "" {
@@ -117,6 +111,13 @@ func main() {
 			}
 		}
 	}
+	// Fail fast on bad knobs (negative counts, unknown policy names, a
+	// negative scrub interval) before any simulation starts.
+	opts, err := opts.Resolve()
+	if err != nil {
+		fail("%v", err)
+	}
+	opts.Context = ctx
 
 	names := []string{*exp}
 	if *exp == "all" {
@@ -131,9 +132,7 @@ func main() {
 		if err != nil {
 			fail("%v", err)
 		}
-		io := toInternal(opts)
-		io.Context = ctx
-		tables, err := e.Run(io)
+		tables, err := e.Run(opts)
 		if err != nil {
 			if errors.Is(err, context.Canceled) || ctx.Err() != nil {
 				fail("%s interrupted: %v", name, err)
@@ -178,36 +177,4 @@ func writeFigures(e experiments.Experiment, tables []*report.Table, dir string) 
 		fmt.Printf("wrote %s\n", path)
 	}
 	return nil
-}
-
-// toInternal translates public options to the internal registry's.
-func toInternal(opts mbavf.ExperimentOptions) experiments.Options {
-	io := experiments.DefaultOptions()
-	if len(opts.Workloads) > 0 {
-		io.Workloads = opts.Workloads
-	}
-	if opts.Injections > 0 {
-		io.Injections = opts.Injections
-	}
-	if opts.Windows > 0 {
-		io.Windows = opts.Windows
-	}
-	if opts.Seed != 0 {
-		io.Seed = opts.Seed
-	}
-	if opts.Workers > 0 {
-		io.Workers = opts.Workers
-	}
-	if opts.AVFWindows > 0 {
-		io.AVFWindows = opts.AVFWindows
-	}
-	if len(opts.Policies) > 0 {
-		io.Policies = opts.Policies
-	}
-	if opts.ScrubInterval > 0 {
-		io.ScrubInterval = opts.ScrubInterval
-	}
-	io.StoreDir = opts.StoreDir
-	io.FabricWorkers = opts.FabricWorkers
-	return io
 }

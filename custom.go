@@ -141,7 +141,7 @@ func (c *Custom) Finish() (*Run, error) {
 	if err := c.session.Finalize(); err != nil {
 		return nil, err
 	}
-	return newRunFromSession(c.session), nil
+	return &Run{m: c.session.Measurements()}, nil
 }
 
 // ReadWords reads back n 32-bit words from the simulated memory, e.g. to

@@ -6,10 +6,10 @@ package experiments
 // non-contiguous (rectangular) fault geometries.
 
 import (
+	"mbavf/internal/analysis"
 	"mbavf/internal/bitgeom"
 	"mbavf/internal/core"
 	"mbavf/internal/ecc"
-	"mbavf/internal/interleave"
 	"mbavf/internal/report"
 	"mbavf/internal/stats"
 )
@@ -26,14 +26,13 @@ func locality(o Options) ([]*report.Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		logical, wayPhys, idxPhys, err := l1Layouts(s, 2)
-		if err != nil {
-			return nil, err
-		}
 		mode := bitgeom.Mx1(2)
 		row := []any{name}
-		for _, lay := range []*interleave.Layout{logical, wayPhys, idxPhys} {
-			an := l1Analyzer(s, lay)
+		for _, style := range []analysis.Style{analysis.Logical, analysis.WayPhysical, analysis.IndexPhysical} {
+			an, err := analysis.Run{M: s}.Analyzer(analysis.L1, style, 2)
+			if err != nil {
+				return nil, err
+			}
 			loc, err := an.ACELocality(mode)
 			if err != nil {
 				return nil, err
@@ -67,12 +66,11 @@ func schemes(o Options) ([]*report.Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		sets, ways := s.L1Slots()
-		lay, err := interleave.WayPhysical(sets, ways, s.LineBytes*8, 2)
+		an, err := analysis.Run{M: s}.Analyzer(analysis.L1, analysis.WayPhysical, 2)
 		if err != nil {
 			return nil, err
 		}
-		series, err := l1Analyzer(s, lay).AnalyzeMany(0, queries)
+		series, err := an.AnalyzeMany(0, queries)
 		if err != nil {
 			return nil, err
 		}
@@ -108,12 +106,11 @@ func geometry(o Options) ([]*report.Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		sets, ways := s.L1Slots()
-		lay, err := interleave.WayPhysical(sets, ways, s.LineBytes*8, 2)
+		an, err := analysis.Run{M: s}.Analyzer(analysis.L1, analysis.WayPhysical, 2)
 		if err != nil {
 			return nil, err
 		}
-		series, err := l1Analyzer(s, lay).AnalyzeMany(0, queries)
+		series, err := an.AnalyzeMany(0, queries)
 		if err != nil {
 			return nil, err
 		}
@@ -145,34 +142,19 @@ func l2(o Options) ([]*report.Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		lineBits := s.LineBytes * 8
-		l1sets, l1ways := s.L1Slots()
-		l1lay, err := interleave.WayPhysical(l1sets, l1ways, lineBits, 2)
-		if err != nil {
-			return nil, err
+		row := []any{name}
+		for _, st := range []analysis.Structure{analysis.L1, analysis.L2} {
+			an, err := analysis.Run{M: s}.Analyzer(st, analysis.WayPhysical, 2)
+			if err != nil {
+				return nil, err
+			}
+			r, err := an.Analyze(ecc.Parity{}, mode)
+			if err != nil {
+				return nil, err
+			}
+			row = append(row, r.BitAVF(), stats.Ratio(r.DUEMBAVF(), r.BitAVF()))
 		}
-		r1, err := l1Analyzer(s, l1lay).Analyze(ecc.Parity{}, mode)
-		if err != nil {
-			return nil, err
-		}
-		l2sets, l2ways := s.L2Slots()
-		l2lay, err := interleave.WayPhysical(l2sets, l2ways, lineBits, 2)
-		if err != nil {
-			return nil, err
-		}
-		r2 := &core.Analyzer{
-			Layout:      l2lay,
-			Tracker:     s.L2Tracker,
-			Graph:       s.Graph,
-			TotalCycles: s.Cycles,
-		}
-		res2, err := r2.Analyze(ecc.Parity{}, mode)
-		if err != nil {
-			return nil, err
-		}
-		t.AddRowf(name,
-			r1.BitAVF(), stats.Ratio(r1.DUEMBAVF(), r1.BitAVF()),
-			res2.BitAVF(), stats.Ratio(res2.DUEMBAVF(), res2.BitAVF()))
+		t.AddRowf(row...)
 	}
 	return []*report.Table{t}, nil
 }

@@ -5,10 +5,10 @@ import (
 	"math"
 	"strconv"
 
+	"mbavf/internal/analysis"
 	"mbavf/internal/bitgeom"
 	"mbavf/internal/core"
 	"mbavf/internal/ecc"
-	"mbavf/internal/interleave"
 	"mbavf/internal/report"
 )
 
@@ -38,44 +38,40 @@ func avft(o Options) ([]*report.Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		sets, ways := s.L1Slots()
-		l1lay, err := interleave.WayPhysical(sets, ways, s.LineBytes*8, 2)
-		if err != nil {
-			return nil, err
-		}
-		vlay, err := vgprLayout(s, true, 2)
-		if err != nil {
-			return nil, err
-		}
-		window := (s.Cycles + uint64(n) - 1) / uint64(n)
-		if window == 0 {
-			window = 1
-		}
-		structures := []struct {
-			label string
-			an    *core.Analyzer
-		}{
-			{"l1", l1Analyzer(s, l1lay)},
-			{"vgpr", vgprAnalyzer(s, vlay, false)},
-		}
-		for _, st := range structures {
+		window := analysis.Window(s.Cycles, n)
+		for _, q := range avftQuestions {
+			an, err := analysis.Run{M: s}.Analyzer(q.st, q.style, 2)
+			if err != nil {
+				return nil, err
+			}
 			for _, m := range []int{2, 4} {
-				series, err := st.an.AnalyzeWindowed(ecc.Parity{}, bitgeom.Mx1(m), window)
+				series, err := an.AnalyzeWindowed(ecc.Parity{}, bitgeom.Mx1(m), window)
 				if err != nil {
 					return nil, err
 				}
 				if err := CheckSeriesConsistency(series); err != nil {
-					return nil, fmt.Errorf("avft: %s %s %dx1: %w", name, st.label, m, err)
+					return nil, fmt.Errorf("avft: %s %s %dx1: %w", name, q.st, m, err)
 				}
-				series.PublishGauges(st.label + "." + name)
+				series.PublishGauges(string(q.st) + "." + name)
 				for i := range series.Windows {
-					addAVFRow(t, name, st.label, strconv.Itoa(i), &series.Windows[i])
+					addAVFRow(t, name, string(q.st), strconv.Itoa(i), &series.Windows[i])
 				}
-				addAVFRow(t, name, st.label, "TOTAL", &series.Total)
+				addAVFRow(t, name, string(q.st), "TOTAL", &series.Total)
 			}
 		}
 	}
 	return []*report.Table{t}, nil
+}
+
+// avftQuestions are the structures avft resolves over time, each under
+// its x2 interleaving: way-physical lines for the L1, inter-thread
+// registers for the register file.
+var avftQuestions = []struct {
+	st    analysis.Structure
+	style analysis.Style
+}{
+	{analysis.L1, analysis.WayPhysical},
+	{analysis.VGPR, analysis.InterThread},
 }
 
 // addAVFRow appends one AVF(t) row with full-precision float cells.

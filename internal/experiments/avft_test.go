@@ -4,10 +4,9 @@ import (
 	"strconv"
 	"testing"
 
+	"mbavf/internal/analysis"
 	"mbavf/internal/bitgeom"
-	"mbavf/internal/core"
 	"mbavf/internal/ecc"
-	"mbavf/internal/interleave"
 	"mbavf/internal/obs"
 )
 
@@ -23,35 +22,23 @@ func TestAVFTWindowedMeanMatchesTotal(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sets, ways := s.L1Slots()
-	l1lay, err := interleave.WayPhysical(sets, ways, s.LineBytes*8, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	vlay, err := vgprLayout(s, true, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
 	const n = 8
-	window := (s.Cycles + n - 1) / n
-	structures := []struct {
-		label string
-		an    *core.Analyzer
-	}{
-		{"l1", l1Analyzer(s, l1lay)},
-		{"vgpr", vgprAnalyzer(s, vlay, false)},
-	}
-	for _, st := range structures {
+	window := analysis.Window(s.Cycles, n)
+	for _, q := range avftQuestions {
+		an, err := analysis.Run{M: s}.Analyzer(q.st, q.style, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
 		for _, m := range []int{2, 4} {
-			series, err := st.an.AnalyzeWindowed(ecc.Parity{}, bitgeom.Mx1(m), window)
+			series, err := an.AnalyzeWindowed(ecc.Parity{}, bitgeom.Mx1(m), window)
 			if err != nil {
-				t.Fatalf("%s %dx1: %v", st.label, m, err)
+				t.Fatalf("%s %dx1: %v", q.st, m, err)
 			}
 			if len(series.Windows) < 2 || len(series.Windows) > n {
-				t.Fatalf("%s %dx1: %d windows, want 2..%d", st.label, m, len(series.Windows), n)
+				t.Fatalf("%s %dx1: %d windows, want 2..%d", q.st, m, len(series.Windows), n)
 			}
 			if err := CheckSeriesConsistency(series); err != nil {
-				t.Fatalf("%s %dx1: %v", st.label, m, err)
+				t.Fatalf("%s %dx1: %v", q.st, m, err)
 			}
 		}
 	}

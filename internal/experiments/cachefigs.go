@@ -3,10 +3,10 @@ package experiments
 import (
 	"fmt"
 
+	"mbavf/internal/analysis"
 	"mbavf/internal/bitgeom"
 	"mbavf/internal/core"
 	"mbavf/internal/ecc"
-	"mbavf/internal/interleave"
 	"mbavf/internal/report"
 	"mbavf/internal/stats"
 )
@@ -24,15 +24,15 @@ func fig4(o Options) ([]*report.Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		logical, wayPhys, idxPhys, err := l1Layouts(s, 2)
-		if err != nil {
-			return nil, err
-		}
 		mode := bitgeom.Mx1(2)
 		var ratios [3]float64
 		var sb float64
-		for i, lay := range []*interleave.Layout{logical, wayPhys, idxPhys} {
-			r, err := l1Analyzer(s, lay).Analyze(ecc.Parity{}, mode)
+		for i, style := range []analysis.Style{analysis.Logical, analysis.WayPhysical, analysis.IndexPhysical} {
+			an, err := analysis.Run{M: s}.Analyzer(analysis.L1, style, 2)
+			if err != nil {
+				return nil, err
+			}
+			r, err := an.Analyze(ecc.Parity{}, mode)
 			if err != nil {
 				return nil, err
 			}
@@ -55,25 +55,24 @@ func fig5(o Options) ([]*report.Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	logical, wayPhys, idxPhys, err := l1Layouts(s, 2)
-	if err != nil {
-		return nil, err
-	}
-	window := (s.Cycles + uint64(o.Windows) - 1) / uint64(o.Windows)
-	if window == 0 {
-		window = 1
-	}
+	window := analysis.Window(s.Cycles, o.Windows)
 	mode := bitgeom.Mx1(2)
-
-	idxSeries, err := l1Analyzer(s, idxPhys).AnalyzeWindowed(ecc.Parity{}, mode, window)
+	series := func(style analysis.Style) (*core.Series, error) {
+		an, err := analysis.Run{M: s}.Analyzer(analysis.L1, style, 2)
+		if err != nil {
+			return nil, err
+		}
+		return an.AnalyzeWindowed(ecc.Parity{}, mode, window)
+	}
+	idxSeries, err := series(analysis.IndexPhysical)
 	if err != nil {
 		return nil, err
 	}
-	logSeries, err := l1Analyzer(s, logical).AnalyzeWindowed(ecc.Parity{}, mode, window)
+	logSeries, err := series(analysis.Logical)
 	if err != nil {
 		return nil, err
 	}
-	waySeries, err := l1Analyzer(s, wayPhys).AnalyzeWindowed(ecc.Parity{}, mode, window)
+	waySeries, err := series(analysis.WayPhysical)
 	if err != nil {
 		return nil, err
 	}
@@ -134,12 +133,11 @@ func fig6(o Options) ([]*report.Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		sets, ways := s.L1Slots()
-		lay, err := interleave.WayPhysical(sets, ways, s.LineBytes*8, 4)
+		an, err := analysis.Run{M: s}.Analyzer(analysis.L1, analysis.WayPhysical, 4)
 		if err != nil {
 			return nil, err
 		}
-		series, err := l1Analyzer(s, lay).AnalyzeMany(0, queries)
+		series, err := an.AnalyzeMany(0, queries)
 		if err != nil {
 			return nil, err
 		}
@@ -177,17 +175,14 @@ func fig8(o Options) ([]*report.Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	_, wayPhys, idxPhys, err := l1Layouts(s, 2)
-	if err != nil {
-		return nil, err
-	}
-	window := (s.Cycles + uint64(o.Windows) - 1) / uint64(o.Windows)
-	if window == 0 {
-		window = 1
-	}
+	window := analysis.Window(s.Cycles, o.Windows)
 	mode := bitgeom.Mx1(3)
-	mk := func(lay *interleave.Layout, name string) (*report.Table, error) {
-		series, err := l1Analyzer(s, lay).AnalyzeWindowed(ecc.Parity{}, mode, window)
+	mk := func(style analysis.Style, name string) (*report.Table, error) {
+		an, err := analysis.Run{M: s}.Analyzer(analysis.L1, style, 2)
+		if err != nil {
+			return nil, err
+		}
+		series, err := an.AnalyzeWindowed(ecc.Parity{}, mode, window)
 		if err != nil {
 			return nil, err
 		}
@@ -200,12 +195,12 @@ func fig8(o Options) ([]*report.Table, error) {
 			series.Total.TrueDUEMBAVF()+series.Total.FalseDUEMBAVF())
 		return t, nil
 	}
-	a, err := mk(idxPhys, "x2 index-physical")
+	a, err := mk(analysis.IndexPhysical, "x2 index-physical")
 	if err != nil {
 		return nil, err
 	}
 	a.Caption = "SDC dominates 3x1 outcomes, but a non-trivial DUE fraction remains (single-flip regions detect)."
-	b, err := mk(wayPhys, "x2 way-physical")
+	b, err := mk(analysis.WayPhysical, "x2 way-physical")
 	if err != nil {
 		return nil, err
 	}
@@ -229,12 +224,11 @@ func fig9(o Options) ([]*report.Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		sets, ways := s.L1Slots()
-		lay, err := interleave.WayPhysical(sets, ways, s.LineBytes*8, 2)
+		an, err := analysis.Run{M: s}.Analyzer(analysis.L1, analysis.WayPhysical, 2)
 		if err != nil {
 			return nil, err
 		}
-		series, err := l1Analyzer(s, lay).AnalyzeMany(0, queries)
+		series, err := an.AnalyzeMany(0, queries)
 		if err != nil {
 			return nil, err
 		}
@@ -267,12 +261,11 @@ func fig10(o Options) ([]*report.Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		sets, ways := s.L1Slots()
-		lay, err := interleave.WayPhysical(sets, ways, s.LineBytes*8, 4)
+		an, err := analysis.Run{M: s}.Analyzer(analysis.L1, analysis.WayPhysical, 4)
 		if err != nil {
 			return nil, err
 		}
-		series, err := l1Analyzer(s, lay).AnalyzeMany(0, queries)
+		series, err := an.AnalyzeMany(0, queries)
 		if err != nil {
 			return nil, err
 		}

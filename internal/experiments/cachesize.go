@@ -3,9 +3,9 @@ package experiments
 import (
 	"fmt"
 
+	"mbavf/internal/analysis"
 	"mbavf/internal/bitgeom"
 	"mbavf/internal/ecc"
-	"mbavf/internal/interleave"
 	"mbavf/internal/report"
 	"mbavf/internal/sim"
 	"mbavf/internal/stats"
@@ -40,17 +40,15 @@ func cachesize(o Options) ([]*report.Table, error) {
 			cfg.Caches.L1.SizeBytes = sz
 			cfg.TrackL2 = false
 			cfg.TrackVGPR = false
-			sess, err := sim.Execute(w, cfg)
+			sess, err := sim.ExecuteContext(o.ctx(), w, cfg)
 			if err != nil {
 				return nil, err
 			}
-			s := sess.Measurements()
-			sets, ways := s.L1Slots()
-			lay, err := interleave.WayPhysical(sets, ways, s.LineBytes*8, 2)
+			an, err := analysis.Run{M: sess.Measurements()}.Analyzer(analysis.L1, analysis.WayPhysical, 2)
 			if err != nil {
 				return nil, err
 			}
-			r, err := l1Analyzer(s, lay).Analyze(ecc.Parity{}, bitgeom.Mx1(2))
+			r, err := an.Analyze(ecc.Parity{}, bitgeom.Mx1(2))
 			if err != nil {
 				return nil, err
 			}

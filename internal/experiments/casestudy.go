@@ -3,6 +3,7 @@ package experiments
 import (
 	"fmt"
 
+	"mbavf/internal/analysis"
 	"mbavf/internal/bitgeom"
 	"mbavf/internal/core"
 	"mbavf/internal/ecc"
@@ -13,22 +14,23 @@ import (
 
 // vgprConfig is one design point of the Section VIII case study.
 type vgprConfig struct {
-	label       string
-	scheme      ecc.Scheme
-	interThread bool
-	factor      int
+	label  string
+	scheme ecc.Scheme
+	style  analysis.Style
+	factor int
 }
 
 func caseStudyConfigs() []vgprConfig {
+	rx, tx := analysis.IntraThread, analysis.InterThread
 	return []vgprConfig{
-		{"parity rx2", ecc.Parity{}, false, 2},
-		{"parity rx4", ecc.Parity{}, false, 4},
-		{"parity tx2", ecc.Parity{}, true, 2},
-		{"parity tx4", ecc.Parity{}, true, 4},
-		{"sec-ded rx2", ecc.SECDED{}, false, 2},
-		{"sec-ded rx4", ecc.SECDED{}, false, 4},
-		{"sec-ded tx2", ecc.SECDED{}, true, 2},
-		{"sec-ded tx4", ecc.SECDED{}, true, 4},
+		{"parity rx2", ecc.Parity{}, rx, 2},
+		{"parity rx4", ecc.Parity{}, rx, 4},
+		{"parity tx2", ecc.Parity{}, tx, 2},
+		{"parity tx4", ecc.Parity{}, tx, 4},
+		{"sec-ded rx2", ecc.SECDED{}, rx, 2},
+		{"sec-ded rx4", ecc.SECDED{}, rx, 4},
+		{"sec-ded tx2", ecc.SECDED{}, tx, 2},
+		{"sec-ded tx4", ecc.SECDED{}, tx, 4},
 	}
 }
 
@@ -61,13 +63,13 @@ func fig11(o Options) ([]*report.Table, error) {
 	// each layout's schemes x Table III modes are solved as one batch
 	// per workload, then rolled up per config in the table's order.
 	type layoutKey struct {
-		interThread bool
-		factor      int
+		style  analysis.Style
+		factor int
 	}
 	var keys []layoutKey
 	byLayout := map[layoutKey][]int{} // layout -> config indices
 	for ci, c := range configs {
-		k := layoutKey{c.interThread, c.factor}
+		k := layoutKey{c.style, c.factor}
 		if byLayout[k] == nil {
 			keys = append(keys, k)
 		}
@@ -89,11 +91,11 @@ func fig11(o Options) ([]*report.Table, error) {
 					queries = append(queries, core.Query{Scheme: configs[ci].scheme, Mode: bitgeom.Mx1(mr.Width)})
 				}
 			}
-			lay, err := vgprLayout(s, k.interThread, k.factor)
+			an, err := analysis.Run{M: s}.Analyzer(analysis.VGPR, k.style, k.factor)
 			if err != nil {
 				return nil, err
 			}
-			series, err := vgprAnalyzer(s, lay, k.interThread).AnalyzeMany(0, queries)
+			series, err := an.AnalyzeMany(0, queries)
 			if err != nil {
 				return nil, err
 			}

@@ -12,9 +12,8 @@ import (
 	"strings"
 	"sync"
 
-	"mbavf/internal/core"
-	"mbavf/internal/interleave"
 	"mbavf/internal/obs"
+	"mbavf/internal/policy"
 	"mbavf/internal/report"
 	"mbavf/internal/sim"
 	"mbavf/internal/store"
@@ -60,8 +59,8 @@ type Options struct {
 	// fleet degrades to in-process execution.
 	FabricWorkers []string
 	// Policies restricts the protection policies the policies experiment
-	// sweeps; nil means every built-in policy (policy.Names()). Names are
-	// validated by the public facade before reaching here.
+	// sweeps; nil means every built-in policy (policy.Names()). Resolve
+	// rejects unknown names.
 	Policies []string
 	// ScrubInterval is the scrub period, in cycles, of the scrubbing
 	// policies; 0 selects the policy package's default.
@@ -79,6 +78,43 @@ func (o Options) ctx() context.Context {
 // DefaultOptions returns the settings used by cmd/mbavf-exp.
 func DefaultOptions() Options {
 	return Options{Injections: 200, Seed: 42, Windows: 12, Workers: runtime.GOMAXPROCS(0)}
+}
+
+// Resolve checks the options and returns them with every zero field
+// that has a default set to DefaultOptions' value. Negative counts, a
+// negative scrub interval and unknown policy names are errors: silently
+// replacing them would hide caller bugs.
+func (o Options) Resolve() (Options, error) {
+	d := DefaultOptions()
+	for _, f := range []struct {
+		name string
+		v    *int
+		def  int
+	}{
+		{"Injections", &o.Injections, d.Injections},
+		{"Windows", &o.Windows, d.Windows},
+		{"Workers", &o.Workers, d.Workers},
+		{"AVFWindows", &o.AVFWindows, d.AVFWindows},
+	} {
+		if *f.v < 0 {
+			return Options{}, fmt.Errorf("%s must not be negative (got %d)", f.name, *f.v)
+		}
+		if *f.v == 0 {
+			*f.v = f.def
+		}
+	}
+	if o.Seed == 0 {
+		o.Seed = d.Seed
+	}
+	if o.ScrubInterval < 0 {
+		return Options{}, fmt.Errorf("ScrubInterval must not be negative (got %d)", o.ScrubInterval)
+	}
+	for _, name := range o.Policies {
+		if !policy.Known(name) {
+			return Options{}, fmt.Errorf("unknown policy %q (have %v)", name, policy.Names())
+		}
+	}
+	return o, nil
 }
 
 func (o Options) workloadNames() []string {
@@ -130,37 +166,28 @@ func storeFor(loc string) *store.Store {
 // order is the cost order: the in-process memo, then the persistent
 // artifact store (milliseconds), then a fresh simulation (the dominant
 // cost by orders of magnitude), which is recorded back into the store
-// when one is configured.
+// under store.LoadOrSimulate's rules when one is configured.
 func run(o Options, name string) (*sim.Measurements, error) {
 	if v, ok := runCache.Load(name); ok {
 		return v.(*sim.Measurements), nil
 	}
-	st := storeFor(o.StoreDir)
-	key := store.KeyFor(name, sim.DefaultConfig())
-	if st != nil {
-		// A miss or a quarantined corrupt artifact both fall through to
-		// simulation; the store never serves wrong numbers.
-		if a, err := st.GetArtifact(o.ctx(), key); err == nil && a.Meta().Workload == name {
-			if m, err := a.Measurements(); err == nil {
-				runCache.Store(name, m)
-				return m, nil
-			}
-		}
+	m, a, err := store.LoadOrSimulate(o.ctx(), storeFor(o.StoreDir), name, decodeAll)
+	if a != nil {
+		m, err = a.Measurements()
 	}
-	w, err := workloads.ByName(name)
 	if err != nil {
 		return nil, err
-	}
-	s, err := sim.ExecuteContext(o.ctx(), w, sim.DefaultConfig())
-	if err != nil {
-		return nil, err
-	}
-	m := s.Measurements()
-	if st != nil {
-		_ = st.Put(o.ctx(), key, m) // best-effort; persistence never fails a run
 	}
 	runCache.Store(name, m)
 	return m, nil
+}
+
+// decodeAll decodes every section of a loaded artifact: the memo keeps
+// materialized runs, so damage anywhere in one falls back to
+// simulation at load time.
+func decodeAll(a *store.Artifact) error {
+	_, err := a.Measurements()
+	return err
 }
 
 // ResetCache drops memoized simulation runs. With no arguments the whole
@@ -178,58 +205,6 @@ func ResetCache(names ...string) {
 	for _, n := range names {
 		runCache.Delete(n)
 	}
-}
-
-// l1Analyzer builds an analyzer over CU0's L1 data array with the given
-// layout.
-func l1Analyzer(s *sim.Measurements, layout *interleave.Layout) *core.Analyzer {
-	return &core.Analyzer{
-		Name:        s.Workload,
-		Layout:      layout,
-		Tracker:     s.L1Tracker,
-		Graph:       s.Graph,
-		TotalCycles: s.Cycles,
-	}
-}
-
-// vgprAnalyzer builds an analyzer over CU0's vector register file.
-func vgprAnalyzer(s *sim.Measurements, layout *interleave.Layout, preempt bool) *core.Analyzer {
-	return &core.Analyzer{
-		Name:                 s.Workload,
-		Layout:               layout,
-		Tracker:              s.VGPRTracker,
-		Graph:                s.Graph,
-		WordVersions:         true,
-		TotalCycles:          s.Cycles,
-		DetectionPreemptsSDC: preempt,
-	}
-}
-
-// l1Layouts returns the three Figure 4 interleaving layouts for the L1 at
-// the given factor.
-func l1Layouts(s *sim.Measurements, factor int) (logical, wayPhys, idxPhys *interleave.Layout, err error) {
-	sets, ways := s.L1Slots()
-	lineBits := s.LineBytes * 8
-	logical, err = interleave.Logical(sets*ways, lineBits, factor)
-	if err != nil {
-		return
-	}
-	wayPhys, err = interleave.WayPhysical(sets, ways, lineBits, factor)
-	if err != nil {
-		return
-	}
-	idxPhys, err = interleave.IndexPhysical(sets, ways, lineBits, factor)
-	return
-}
-
-// vgprLayout builds an intra- or inter-thread VGPR layout.
-func vgprLayout(s *sim.Measurements, interThread bool, factor int) (*interleave.Layout, error) {
-	threads := s.VGPRThreads
-	regs := s.VGPRRegs
-	if interThread {
-		return interleave.InterThread(threads, regs, 32, factor)
-	}
-	return interleave.IntraThread(threads, regs, 32, factor)
 }
 
 // RenderAll renders tables as text or CSV.

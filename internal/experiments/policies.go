@@ -11,10 +11,10 @@ package experiments
 import (
 	"fmt"
 
+	"mbavf/internal/analysis"
 	"mbavf/internal/bitgeom"
 	"mbavf/internal/core"
 	"mbavf/internal/ecc"
-	"mbavf/internal/interleave"
 	"mbavf/internal/interval"
 	"mbavf/internal/obs"
 	"mbavf/internal/policy"
@@ -69,51 +69,15 @@ func policies(o Options) ([]*report.Table, error) {
 		pols = append(pols, p)
 	}
 
+	// x2 physical interleaving: way-physical lines in the caches,
+	// inter-thread registers in the register file.
 	structures := []struct {
-		name string
-		an   func(o Options, wl string) (*core.Analyzer, error)
+		name  analysis.Structure
+		style analysis.Style
 	}{
-		{"l1", func(o Options, wl string) (*core.Analyzer, error) {
-			s, err := run(o, wl)
-			if err != nil {
-				return nil, err
-			}
-			sets, ways := s.L1Slots()
-			lay, err := interleave.WayPhysical(sets, ways, s.LineBytes*8, 2)
-			if err != nil {
-				return nil, err
-			}
-			return l1Analyzer(s, lay), nil
-		}},
-		{"l2", func(o Options, wl string) (*core.Analyzer, error) {
-			s, err := run(o, wl)
-			if err != nil {
-				return nil, err
-			}
-			sets, ways := s.L2Slots()
-			lay, err := interleave.WayPhysical(sets, ways, s.LineBytes*8, 2)
-			if err != nil {
-				return nil, err
-			}
-			return &core.Analyzer{
-				Name:        s.Workload,
-				Layout:      lay,
-				Tracker:     s.L2Tracker,
-				Graph:       s.Graph,
-				TotalCycles: s.Cycles,
-			}, nil
-		}},
-		{"vgpr", func(o Options, wl string) (*core.Analyzer, error) {
-			s, err := run(o, wl)
-			if err != nil {
-				return nil, err
-			}
-			lay, err := vgprLayout(s, true, 2)
-			if err != nil {
-				return nil, err
-			}
-			return vgprAnalyzer(s, lay, true), nil
-		}},
+		{analysis.L1, analysis.WayPhysical},
+		{analysis.L2, analysis.WayPhysical},
+		{analysis.VGPR, analysis.InterThread},
 	}
 
 	mode := bitgeom.Mx1(4)
@@ -136,7 +100,11 @@ func policies(o Options) ([]*report.Table, error) {
 			headerDelta...)
 		delta.Caption = "Zero rows are the degenerate policies (the bit-identity anchor); negative dDUE is reporting deferred or avoided, positive dDUE/dSDC is temporal exposure."
 		for _, wl := range policyWorkloads(o) {
-			an, err := st.an(o, wl)
+			s, err := run(o, wl)
+			if err != nil {
+				return nil, err
+			}
+			an, err := analysis.Run{M: s}.Analyzer(st.name, st.style, 2)
 			if err != nil {
 				return nil, err
 			}

@@ -3,6 +3,7 @@ package experiments
 import (
 	"fmt"
 
+	"mbavf/internal/analysis"
 	"mbavf/internal/bitgeom"
 	"mbavf/internal/ecc"
 	"mbavf/internal/inject"
@@ -60,11 +61,11 @@ func validateWorkload(o Options, name string) (validation, error) {
 	if err != nil {
 		return validation{}, err
 	}
-	lay, err := vgprLayout(s, false, 1)
+	an, err := analysis.Run{M: s}.Analyzer(analysis.VGPR, analysis.IntraThread, 1)
 	if err != nil {
 		return validation{}, err
 	}
-	res, err := vgprAnalyzer(s, lay, false).Analyze(ecc.None{}, bitgeom.Mx1(1))
+	res, err := an.Analyze(ecc.None{}, bitgeom.Mx1(1))
 	if err != nil {
 		return validation{}, err
 	}

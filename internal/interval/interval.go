@@ -1,203 +1,7 @@
-// Package interval provides half-open cycle-time intervals and disjoint
-// interval sets. The AVF engine represents per-bit ACE time as interval
-// sets over simulation cycles; all MB-AVF math reduces to measure and
-// boolean algebra on these sets.
+// Package interval holds the simulation's time type. The lifetime
+// tracker, the dataflow graph, the MB-AVF engine and the policy model
+// count cycles in it.
 package interval
-
-import (
-	"fmt"
-	"sort"
-)
 
 // Cycle is a simulation time stamp. Cycle 0 is the first simulated cycle.
 type Cycle = uint64
-
-// Segment is the half-open interval [Start, End). A Segment with
-// Start >= End is empty.
-type Segment struct {
-	Start, End Cycle
-}
-
-// Len returns the number of cycles covered by s.
-func (s Segment) Len() Cycle {
-	if s.End <= s.Start {
-		return 0
-	}
-	return s.End - s.Start
-}
-
-// Empty reports whether s covers no cycles.
-func (s Segment) Empty() bool { return s.End <= s.Start }
-
-// Contains reports whether cycle c lies within s.
-func (s Segment) Contains(c Cycle) bool { return c >= s.Start && c < s.End }
-
-// Overlaps reports whether s and t share at least one cycle.
-func (s Segment) Overlaps(t Segment) bool {
-	return s.Start < t.End && t.Start < s.End
-}
-
-// Intersect returns the overlap of s and t (possibly empty).
-func (s Segment) Intersect(t Segment) Segment {
-	out := Segment{Start: max(s.Start, t.Start), End: min(s.End, t.End)}
-	if out.End < out.Start {
-		out.End = out.Start
-	}
-	return out
-}
-
-func (s Segment) String() string { return fmt.Sprintf("[%d,%d)", s.Start, s.End) }
-
-// Set is a set of cycles represented as sorted, disjoint, non-adjacent,
-// non-empty segments. The zero value is an empty set ready to use.
-type Set struct {
-	segs []Segment
-}
-
-// NewSet returns a set covering the given segments.
-func NewSet(segs ...Segment) Set {
-	var s Set
-	for _, sg := range segs {
-		s.Add(sg)
-	}
-	return s
-}
-
-// Segments returns the underlying sorted segments. The returned slice is
-// owned by the set and must not be modified.
-func (s Set) Segments() []Segment { return s.segs }
-
-// Empty reports whether the set covers no cycles.
-func (s Set) Empty() bool { return len(s.segs) == 0 }
-
-// Len returns the total number of cycles covered.
-func (s Set) Len() Cycle {
-	var n Cycle
-	for _, sg := range s.segs {
-		n += sg.Len()
-	}
-	return n
-}
-
-// Add inserts segment sg, coalescing with any overlapping or adjacent
-// segments.
-func (s *Set) Add(sg Segment) {
-	if sg.Empty() {
-		return
-	}
-	// Find insertion window: all segments that overlap or touch sg.
-	lo := sort.Search(len(s.segs), func(i int) bool { return s.segs[i].End >= sg.Start })
-	hi := sort.Search(len(s.segs), func(i int) bool { return s.segs[i].Start > sg.End })
-	if lo < hi {
-		sg.Start = min(sg.Start, s.segs[lo].Start)
-		sg.End = max(sg.End, s.segs[hi-1].End)
-	}
-	s.segs = append(s.segs[:lo], append([]Segment{sg}, s.segs[hi:]...)...)
-}
-
-// AddRange is shorthand for Add(Segment{start, end}).
-func (s *Set) AddRange(start, end Cycle) { s.Add(Segment{start, end}) }
-
-// Contains reports whether cycle c is in the set.
-func (s Set) Contains(c Cycle) bool {
-	i := sort.Search(len(s.segs), func(i int) bool { return s.segs[i].End > c })
-	return i < len(s.segs) && s.segs[i].Contains(c)
-}
-
-// Union returns the union of s and t.
-func Union(s, t Set) Set {
-	out := Set{segs: append([]Segment(nil), s.segs...)}
-	for _, sg := range t.segs {
-		out.Add(sg)
-	}
-	return out
-}
-
-// Intersect returns the intersection of s and t.
-func Intersect(s, t Set) Set {
-	var out Set
-	i, j := 0, 0
-	for i < len(s.segs) && j < len(t.segs) {
-		ov := s.segs[i].Intersect(t.segs[j])
-		if !ov.Empty() {
-			out.segs = append(out.segs, ov)
-		}
-		if s.segs[i].End < t.segs[j].End {
-			i++
-		} else {
-			j++
-		}
-	}
-	return out
-}
-
-// Subtract returns the cycles in s that are not in t.
-func Subtract(s, t Set) Set {
-	var out Set
-	j := 0
-	for _, sg := range s.segs {
-		cur := sg
-		for j < len(t.segs) && t.segs[j].End <= cur.Start {
-			j++
-		}
-		k := j
-		for k < len(t.segs) && t.segs[k].Start < cur.End {
-			cut := t.segs[k]
-			if cut.Start > cur.Start {
-				out.segs = append(out.segs, Segment{cur.Start, cut.Start})
-			}
-			if cut.End >= cur.End {
-				cur.Start = cur.End // fully consumed
-				break
-			}
-			cur.Start = cut.End
-			k++
-		}
-		if !cur.Empty() {
-			out.segs = append(out.segs, cur)
-		}
-	}
-	return out
-}
-
-// Complement returns the cycles in [0, horizon) not covered by s.
-func Complement(s Set, horizon Cycle) Set {
-	full := NewSet(Segment{0, horizon})
-	return Subtract(full, s)
-}
-
-// OverlapLen returns the number of cycles covered by both s and sg without
-// materializing the intersection.
-func (s Set) OverlapLen(sg Segment) Cycle {
-	var n Cycle
-	i := sort.Search(len(s.segs), func(i int) bool { return s.segs[i].End > sg.Start })
-	for ; i < len(s.segs) && s.segs[i].Start < sg.End; i++ {
-		n += s.segs[i].Intersect(sg).Len()
-	}
-	return n
-}
-
-func (s Set) String() string {
-	out := "{"
-	for i, sg := range s.segs {
-		if i > 0 {
-			out += " "
-		}
-		out += sg.String()
-	}
-	return out + "}"
-}
-
-// Validate checks the internal sortedness/disjointness invariant. It is
-// intended for tests.
-func (s Set) Validate() error {
-	for i, sg := range s.segs {
-		if sg.Empty() {
-			return fmt.Errorf("segment %d %v is empty", i, sg)
-		}
-		if i > 0 && s.segs[i-1].End >= sg.Start {
-			return fmt.Errorf("segments %d and %d overlap or touch: %v %v", i-1, i, s.segs[i-1], sg)
-		}
-	}
-	return nil
-}

@@ -187,21 +187,26 @@ func (a *Artifact) Measurements() (*sim.Measurements, error) {
 	if err != nil {
 		return nil, err
 	}
+	m := a.meta.Measurements()
+	m.L1Tracker, m.L2Tracker, m.VGPRTracker, m.Graph = l1, l2, vgpr, g
+	return m, nil
+}
+
+// Measurements returns the metadata as measurements whose trackers and
+// graph are nil: the identity, cycle counts and geometry a stored run
+// is analyzed with before any section decodes.
+func (m Meta) Measurements() *sim.Measurements {
 	return &sim.Measurements{
-		Workload:     a.meta.Workload,
-		ConfigFP:     a.meta.ConfigFP,
-		Cycles:       a.meta.Cycles,
-		Instructions: a.meta.Instructions,
-		L1Sets:       a.meta.L1Sets,
-		L1Ways:       a.meta.L1Ways,
-		L2Sets:       a.meta.L2Sets,
-		L2Ways:       a.meta.L2Ways,
-		LineBytes:    a.meta.LineBytes,
-		VGPRThreads:  a.meta.VGPRThreads,
-		VGPRRegs:     a.meta.VGPRRegs,
-		L1Tracker:    l1,
-		L2Tracker:    l2,
-		VGPRTracker:  vgpr,
-		Graph:        g,
-	}, nil
+		Workload:     m.Workload,
+		ConfigFP:     m.ConfigFP,
+		Cycles:       m.Cycles,
+		Instructions: m.Instructions,
+		L1Sets:       m.L1Sets,
+		L1Ways:       m.L1Ways,
+		L2Sets:       m.L2Sets,
+		L2Ways:       m.L2Ways,
+		LineBytes:    m.LineBytes,
+		VGPRThreads:  m.VGPRThreads,
+		VGPRRegs:     m.VGPRRegs,
+	}
 }

@@ -13,6 +13,7 @@ import (
 	"mbavf/internal/sim"
 	"mbavf/internal/store/backend"
 	"mbavf/internal/store/disk"
+	"mbavf/internal/workloads"
 )
 
 // Observability series; /metrics exposes them as mbavf_store_*. Every
@@ -168,6 +169,110 @@ func (s *Store) GetArtifact(ctx context.Context, key string) (*Artifact, error) 
 		s.quarantineDamaged(ctx, key, err)
 	}
 	return a, err
+}
+
+// LoadWorkload loads the named workload's artifact under the default
+// machine configuration, failing as GetArtifact does. An artifact that
+// names another workload is refused: a key collision is
+// cryptographically impossible, so the file was planted or renamed, and
+// it is not analyzed.
+func (s *Store) LoadWorkload(ctx context.Context, workload string) (*Artifact, error) {
+	a, err := s.GetArtifact(ctx, KeyFor(workload, sim.DefaultConfig()))
+	if err != nil {
+		return nil, err
+	}
+	if got := a.Meta().Workload; got != workload {
+		return nil, fmt.Errorf("store: artifact names workload %q, wanted %q", got, workload)
+	}
+	return a, nil
+}
+
+// RetryDelay is the backoff before LoadOrSimulate's one retry of a load
+// that failed transiently; a var so tests need not wait.
+var RetryDelay = 50 * time.Millisecond
+
+// obsFallbacks counts loads that failed, damaged or after the retry,
+// and fell back to a fresh simulation.
+var obsFallbacks = obs.NewCounter("store.fallback_simulations")
+
+// LoadOrSimulate returns the named workload's run under the default
+// machine configuration: the artifact when s holds a valid recording,
+// the measurements of a fresh simulation otherwise. Exactly one of the
+// two results is non-nil on success. A nil s always simulates, and a
+// store that cannot be written still returns the simulated run:
+// persistence is an accelerator, never a correctness dependency.
+//
+// touch, when non-nil, runs on a loaded artifact before it is returned
+// and decodes the sections the caller is about to read. Over a ranged
+// (HTTP) backend, section payloads transfer and CRC-check on first
+// touch, so remote damage, or a server that vanishes mid-download, is
+// found here, where the fallback can still handle it, instead of in the
+// caller's analysis.
+//
+// Load failures split by kind. A miss simulates and records. A damaged
+// artifact (ErrCorrupt, ErrFormat) is already quarantined, so the
+// simulation records a good replacement. Any other failure (EMFILE, an
+// NFS hiccup, an unreachable artifact server) gets one retried load
+// after RetryDelay; if that fails too, the simulation answers but
+// records nothing: the recording may be perfectly good, and clobbering
+// it mid-flap would throw away an expensive, valid run. Both fallbacks
+// count store.fallback_simulations.
+func LoadOrSimulate(ctx context.Context, s *Store, workload string, touch func(*Artifact) error) (*sim.Measurements, *Artifact, error) {
+	if s == nil {
+		m, err := simulate(ctx, workload)
+		return m, nil, err
+	}
+	load := func() (*Artifact, error) {
+		a, err := s.LoadWorkload(ctx, workload)
+		if err == nil && touch != nil {
+			if err = touch(a); err != nil {
+				return nil, err
+			}
+		}
+		return a, err
+	}
+	record := true
+	a, err := load()
+	switch {
+	case err == nil:
+		return nil, a, nil
+	case errors.Is(err, ErrNotFound):
+	case errors.Is(err, ErrCorrupt), errors.Is(err, ErrFormat):
+		obsFallbacks.Add(1)
+	default:
+		select {
+		case <-time.After(RetryDelay):
+		case <-ctx.Done():
+			return nil, nil, ctx.Err()
+		}
+		if a, err = load(); err == nil {
+			return nil, a, nil
+		}
+		obsFallbacks.Add(1)
+		record = false
+	}
+	m, err := simulate(ctx, workload)
+	if err != nil {
+		return nil, nil, err
+	}
+	if record {
+		_ = s.Put(ctx, KeyFor(workload, sim.DefaultConfig()), m) // best-effort; persistence never fails a run
+	}
+	return m, nil, nil
+}
+
+// simulate runs the named workload on the default machine configuration
+// with full instrumentation.
+func simulate(ctx context.Context, workload string) (*sim.Measurements, error) {
+	w, err := workloads.ByName(workload)
+	if err != nil {
+		return nil, err
+	}
+	sess, err := sim.ExecuteContext(ctx, w, sim.DefaultConfig())
+	if err != nil {
+		return nil, err
+	}
+	return sess.Measurements(), nil
 }
 
 // load builds the artifact under key through the backend's load path:

@@ -31,7 +31,6 @@ import (
 
 	"mbavf/internal/core"
 	"mbavf/internal/ecc"
-	"mbavf/internal/interleave"
 	"mbavf/internal/sim"
 	"mbavf/internal/store"
 	"mbavf/internal/workloads"
@@ -145,10 +144,6 @@ type Run struct {
 	art *store.Artifact
 }
 
-func newRunFromSession(s *sim.Session) *Run {
-	return &Run{m: s.Measurements()}
-}
-
 // Workloads lists the bundled benchmark names.
 func Workloads() []string { return workloads.Names() }
 
@@ -167,15 +162,8 @@ func WorkloadDescription(name string) (string, error) {
 // its deadline) aborts the simulation between instructions and returns
 // the context's error.
 func RunWorkloadContext(ctx context.Context, name string) (*Run, error) {
-	w, err := workloads.ByName(name)
-	if err != nil {
-		return nil, err
-	}
-	s, err := sim.ExecuteContext(ctx, w, sim.DefaultConfig())
-	if err != nil {
-		return nil, err
-	}
-	return newRunFromSession(s), nil
+	r, _, err := RunWorkloadStored(ctx, name, nil)
+	return r, err
 }
 
 // Cycles returns the run's duration in simulated cycles.
@@ -187,32 +175,6 @@ func (r *Run) Instructions() uint64 { return r.m.Instructions }
 // Workload returns the name of the workload that produced the run (empty
 // for runs loaded from artifacts recorded before names were stored).
 func (r *Run) Workload() string { return r.m.Workload }
-
-func cacheLayout(il Interleaving, sets, ways, lineBits int) (*interleave.Layout, error) {
-	switch il.Style {
-	case StyleLogical:
-		return interleave.Logical(sets*ways, lineBits, il.Factor)
-	case StyleWayPhysical:
-		return interleave.WayPhysical(sets, ways, lineBits, il.Factor)
-	case StyleIndexPhysical:
-		return interleave.IndexPhysical(sets, ways, lineBits, il.Factor)
-	default:
-		return nil, fmt.Errorf("%w: interleaving style %q not valid for caches", ErrBadOption, il.Style)
-	}
-}
-
-func (r *Run) vgprLayout(il Interleaving) (*interleave.Layout, bool, error) {
-	switch il.Style {
-	case StyleIntraThread:
-		l, err := interleave.IntraThread(r.m.VGPRThreads, r.m.VGPRRegs, 32, il.Factor)
-		return l, false, err
-	case StyleInterThread:
-		l, err := interleave.InterThread(r.m.VGPRThreads, r.m.VGPRRegs, 32, il.Factor)
-		return l, true, err
-	default:
-		return nil, false, fmt.Errorf("%w: interleaving style %q not valid for register files", ErrBadOption, il.Style)
-	}
-}
 
 // SER is a soft-error-rate roll-up over all fault modes of Table III.
 type SER struct {

@@ -6,7 +6,6 @@ import (
 	"strings"
 
 	"mbavf/internal/experiments"
-	"mbavf/internal/policy"
 )
 
 // Experiments lists the reproducible paper artifacts (table1, fig2, fig4,
@@ -49,50 +48,24 @@ type ExperimentOptions struct {
 }
 
 // internal validates the options and translates them to the experiment
-// registry's form. Zero values select defaults; negative values are
-// rejected with an error wrapping ErrBadOption (they used to be silently
-// replaced, which hid caller bugs and made remote queries undebuggable).
+// registry's form, whose Resolve fills the defaults of zero values and
+// rejects negative ones; its errors are wrapped in ErrBadOption.
 func (o ExperimentOptions) internal() (experiments.Options, error) {
-	io := experiments.DefaultOptions()
-	for _, f := range []struct {
-		name string
-		v    int
-		dst  *int
-	}{
-		{"Injections", o.Injections, &io.Injections},
-		{"Windows", o.Windows, &io.Windows},
-		{"Workers", o.Workers, &io.Workers},
-		{"AVFWindows", o.AVFWindows, &io.AVFWindows},
-	} {
-		if f.v < 0 {
-			return experiments.Options{}, fmt.Errorf("%w: %s must not be negative (got %d)", ErrBadOption, f.name, f.v)
-		}
-		if f.v > 0 {
-			*f.dst = f.v
-		}
+	io, err := experiments.Options{
+		Workloads:     o.Workloads,
+		Injections:    o.Injections,
+		Seed:          o.Seed,
+		Windows:       o.Windows,
+		Workers:       o.Workers,
+		AVFWindows:    o.AVFWindows,
+		StoreDir:      o.StoreDir,
+		FabricWorkers: o.FabricWorkers,
+		Policies:      o.Policies,
+		ScrubInterval: o.ScrubInterval,
+	}.Resolve()
+	if err != nil {
+		return experiments.Options{}, fmt.Errorf("%w: %v", ErrBadOption, err)
 	}
-	if len(o.Workloads) > 0 {
-		io.Workloads = o.Workloads
-	}
-	if o.Seed != 0 {
-		io.Seed = o.Seed
-	}
-	if o.ScrubInterval < 0 {
-		return experiments.Options{}, fmt.Errorf("%w: ScrubInterval must not be negative (got %d)", ErrBadOption, o.ScrubInterval)
-	}
-	for _, name := range o.Policies {
-		if !policy.Known(name) {
-			return experiments.Options{}, fmt.Errorf("%w: unknown policy %q (have %v)", ErrBadOption, name, Policies())
-		}
-	}
-	if len(o.Policies) > 0 {
-		io.Policies = o.Policies
-	}
-	if o.ScrubInterval > 0 {
-		io.ScrubInterval = o.ScrubInterval
-	}
-	io.StoreDir = o.StoreDir
-	io.FabricWorkers = o.FabricWorkers
 	return io, nil
 }
 

@@ -2,11 +2,8 @@ package mbavf
 
 import (
 	"context"
-	"errors"
-	"fmt"
-	"time"
 
-	"mbavf/internal/obs"
+	"mbavf/internal/analysis"
 	"mbavf/internal/sim"
 	"mbavf/internal/store"
 	"mbavf/internal/store/disk"
@@ -15,10 +12,6 @@ import (
 // ErrNotInStore marks a RunStore lookup for a workload whose artifact
 // has not been recorded; callers fall back to simulation.
 var ErrNotInStore = store.ErrNotFound
-
-// obsStoreFallbacks counts store loads that failed (missing or corrupt
-// artifact) and fell back to a fresh simulation.
-var obsStoreFallbacks = obs.NewCounter("store.fallback_simulations")
 
 // RunStore is a persistent, content-addressed collection of run
 // artifacts: the "record once, analyze forever" tier. Each artifact is
@@ -97,37 +90,17 @@ func (rs *RunStore) Has(ctx context.Context, workload string) bool {
 // reviving a run costs milliseconds regardless of artifact size, and an
 // L1 query never pays to decode (or download) the L2 timeline.
 func (rs *RunStore) LoadContext(ctx context.Context, workload string) (*Run, error) {
-	a, err := rs.st.GetArtifact(ctx, rs.Key(workload))
+	a, err := rs.st.LoadWorkload(ctx, workload)
 	if err != nil {
 		return nil, err
 	}
-	meta := a.Meta()
-	if meta.Workload != workload {
-		// A key collision is cryptographically impossible; a mismatch
-		// means the file was planted or renamed. Do not analyze it.
-		return nil, fmt.Errorf("mbavf: store artifact names workload %q, wanted %q", meta.Workload, workload)
-	}
-	return &Run{m: metaMeasurements(meta), art: a}, nil
+	return storedRun(a), nil
 }
 
-// metaMeasurements seeds a lazily backed run's measurements with the
-// artifact's metadata; the trackers and graph stay nil and decode from
+// storedRun is the Run backed by a store artifact: its measurements
+// carry the artifact's metadata, and the trackers and graph decode from
 // the artifact on demand.
-func metaMeasurements(meta store.Meta) *sim.Measurements {
-	return &sim.Measurements{
-		Workload:     meta.Workload,
-		ConfigFP:     meta.ConfigFP,
-		Cycles:       meta.Cycles,
-		Instructions: meta.Instructions,
-		L1Sets:       meta.L1Sets,
-		L1Ways:       meta.L1Ways,
-		L2Sets:       meta.L2Sets,
-		L2Ways:       meta.L2Ways,
-		LineBytes:    meta.LineBytes,
-		VGPRThreads:  meta.VGPRThreads,
-		VGPRRegs:     meta.VGPRRegs,
-	}
-}
+func storedRun(a *store.Artifact) *Run { return &Run{m: a.Meta().Measurements(), art: a} }
 
 // Preload forces the deferred decoding of a store-loaded run for the
 // named structures (every structure when none are given), so subsequent
@@ -142,11 +115,12 @@ func (r *Run) Preload(sts ...Structure) error {
 	if len(sts) == 0 {
 		sts = Structures()
 	}
-	if _, err := r.graph(); err != nil {
+	src := r.source()
+	if _, err := src.Graph(); err != nil {
 		return err
 	}
 	for _, st := range sts {
-		if _, err := r.tracker(st); err != nil {
+		if _, err := src.Tracker(analysis.Structure(st)); err != nil {
 			return err
 		}
 	}
@@ -164,84 +138,34 @@ func (rs *RunStore) SaveContext(ctx context.Context, workload string, r *Run) er
 	return rs.st.Put(ctx, rs.Key(workload), m)
 }
 
-// storeRetryDelay is the backoff before the single load retry on a
-// transient store failure; a var so tests don't wait.
-var storeRetryDelay = 50 * time.Millisecond
-
-// loadPreloaded is LoadContext plus an eager Preload of the structures
-// the caller is about to analyze. The preload matters on a ranged
-// (HTTP) backend: section payloads transfer and CRC-check on first
-// touch, so forcing the touch here surfaces remote damage while the
-// caller can still fall back to simulation and re-record.
-func (rs *RunStore) loadPreloaded(ctx context.Context, workload string, sts []Structure) (*Run, error) {
-	r, err := rs.LoadContext(ctx, workload)
-	if err != nil {
-		return nil, err
-	}
-	if len(sts) > 0 {
-		if err := r.Preload(sts...); err != nil {
-			return nil, err
-		}
-	}
-	return r, nil
-}
-
 // RunWorkloadStored returns the named workload's Run from the store when
-// a valid artifact is recorded, and simulates (then records) otherwise.
-// The boolean reports whether the store answered. A nil store always
-// simulates; a store that cannot be written (read-only disk, quota)
-// still returns the simulated run — persistence is an accelerator,
-// never a correctness dependency.
+// a valid artifact is recorded, and simulates (then records) otherwise,
+// under the fallback rules of store.LoadOrSimulate: a damaged artifact
+// is re-recorded, and a transient failure gets one retried load and is
+// never recorded over. The boolean reports whether the store answered.
+// A nil store always simulates; a store that cannot be written still
+// returns the simulated run.
 //
 // sts names the structures the caller is about to analyze: a
 // store-served Run arrives with those structures preloaded, so a remote
 // section that turns out damaged (or a server that vanishes
-// mid-download) is discovered here — where the fallback-to-simulation
-// machinery can still handle it — instead of mid-analysis.
-//
-// Load failures split by kind. A damaged artifact (ErrCorrupt /
-// ErrFormat) is already quarantined by the store, so the fallback
-// simulation re-records a good replacement. A transient failure (EMFILE,
-// NFS hiccup, an unreachable artifact server) gets one retried load
-// after a short backoff, and if that also fails the fallback simulation
-// does NOT overwrite the artifact — the recording in the store may be
-// perfectly good, and clobbering it mid-flap would throw away an
-// expensive, valid run.
+// mid-download) is discovered here, where the fallback to simulation
+// can still handle it, instead of mid-analysis.
 func RunWorkloadStored(ctx context.Context, name string, rs *RunStore, sts ...Structure) (*Run, bool, error) {
-	if rs == nil {
-		r, err := RunWorkloadContext(ctx, name)
-		return r, false, err
+	var st *store.Store
+	if rs != nil {
+		st = rs.st
 	}
-	record := true
-	r, err := rs.loadPreloaded(ctx, name, sts)
+	var touch func(*store.Artifact) error
+	if len(sts) > 0 {
+		touch = func(a *store.Artifact) error { return storedRun(a).Preload(sts...) }
+	}
+	m, a, err := store.LoadOrSimulate(ctx, st, name, touch)
 	switch {
-	case err == nil:
-		return r, true, nil
-	case errors.Is(err, ErrNotInStore):
-		// Nothing recorded yet: simulate and record.
-	case errors.Is(err, store.ErrCorrupt), errors.Is(err, store.ErrFormat):
-		// Damaged and quarantined: simulate and re-record a good artifact.
-		obsStoreFallbacks.Add(1)
-	default:
-		// Transient: retry once with backoff before giving up on the
-		// store for this call.
-		select {
-		case <-time.After(storeRetryDelay):
-		case <-ctx.Done():
-			return nil, false, ctx.Err()
-		}
-		if r, err = rs.loadPreloaded(ctx, name, sts); err == nil {
-			return r, true, nil
-		}
-		obsStoreFallbacks.Add(1)
-		record = false
-	}
-	r, err = RunWorkloadContext(ctx, name)
-	if err != nil {
+	case err != nil:
 		return nil, false, err
+	case a != nil:
+		return storedRun(a), true, nil
 	}
-	if record {
-		_ = rs.SaveContext(ctx, name, r) // best-effort; failure to persist must not fail the run
-	}
-	return r, false, nil
+	return &Run{m: m}, false, nil
 }

@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"mbavf/internal/store"
 	"mbavf/internal/store/mem"
 )
 
@@ -53,8 +54,8 @@ func TestStoreTransientFailureRetries(t *testing.T) {
 	}
 	rs, path, pristine := transientStore(t)
 
-	defer func(d time.Duration) { storeRetryDelay = d }(storeRetryDelay)
-	storeRetryDelay = 500 * time.Millisecond
+	defer func(d time.Duration) { store.RetryDelay = d }(store.RetryDelay)
+	store.RetryDelay = 500 * time.Millisecond
 
 	// The flap heals while RunWorkloadStored is backing off.
 	go func() {
@@ -85,8 +86,8 @@ func TestStoreTransientFailureDoesNotClobber(t *testing.T) {
 	}
 	rs, path, pristine := transientStore(t)
 
-	defer func(d time.Duration) { storeRetryDelay = d }(storeRetryDelay)
-	storeRetryDelay = time.Millisecond
+	defer func(d time.Duration) { store.RetryDelay = d }(store.RetryDelay)
+	store.RetryDelay = time.Millisecond
 
 	r, fromStore, err := RunWorkloadStored(context.Background(), "vecadd", rs)
 	if err != nil {
@@ -126,8 +127,8 @@ func TestStoreTransientFailureHonorsContext(t *testing.T) {
 	}
 	rs, _, _ := transientStore(t)
 
-	defer func(d time.Duration) { storeRetryDelay = d }(storeRetryDelay)
-	storeRetryDelay = time.Hour
+	defer func(d time.Duration) { store.RetryDelay = d }(store.RetryDelay)
+	store.RetryDelay = time.Hour
 
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan error, 1)

@@ -3,6 +3,7 @@ package mbavf
 import (
 	"fmt"
 
+	"mbavf/internal/analysis"
 	"mbavf/internal/bitgeom"
 	"mbavf/internal/core"
 )
@@ -24,10 +25,7 @@ func seriesOf(a *core.Analyzer, scheme Scheme, modeBits int, windows int) (AVFSe
 	if windows < 1 {
 		return AVFSeries{}, fmt.Errorf("%w: need at least one window (got %d)", ErrBadOption, windows)
 	}
-	win := (a.TotalCycles + uint64(windows) - 1) / uint64(windows)
-	if win == 0 {
-		win = 1
-	}
+	win := analysis.Window(a.TotalCycles, windows)
 	s, err := a.AnalyzeWindowed(impl, bitgeom.Mx1(modeBits), win)
 	if err != nil {
 		return AVFSeries{}, err

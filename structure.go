@@ -4,12 +4,10 @@ import (
 	"errors"
 	"fmt"
 
+	"mbavf/internal/analysis"
 	"mbavf/internal/bitgeom"
 	"mbavf/internal/core"
-	"mbavf/internal/dataflow"
 	"mbavf/internal/faultrate"
-	"mbavf/internal/interleave"
-	"mbavf/internal/lifetime"
 )
 
 // ErrBadOption marks a request that is well-formed Go but semantically
@@ -79,95 +77,26 @@ func validateQuery(il Interleaving, modeBits int) error {
 	return nil
 }
 
-// graph returns the run's solved liveness graph, decoding it from the
-// backing store artifact on first use for store-loaded runs.
-func (r *Run) graph() (*dataflow.Graph, error) {
-	if r.m.Graph != nil {
-		return r.m.Graph, nil
-	}
-	if r.art != nil {
-		return r.art.Graph()
-	}
-	return nil, fmt.Errorf("mbavf: run has no liveness graph")
-}
-
-// tracker returns one structure's lifetime tracker, decoding it from
-// the backing store artifact on first use for store-loaded runs.
-func (r *Run) tracker(st Structure) (*lifetime.Tracker, error) {
-	switch st {
-	case L1:
-		if r.m.L1Tracker != nil {
-			return r.m.L1Tracker, nil
-		}
-		if r.art != nil {
-			return r.art.L1()
-		}
-	case L2:
-		if r.m.L2Tracker != nil {
-			return r.m.L2Tracker, nil
-		}
-		if r.art != nil {
-			return r.art.L2()
-		}
-	case VGPR:
-		if r.m.VGPRTracker != nil {
-			return r.m.VGPRTracker, nil
-		}
-		if r.art != nil {
-			return r.art.VGPR()
-		}
-	}
-	return nil, fmt.Errorf("mbavf: run has no %s instrumentation", st)
-}
+// source is the run as the analysis package reads it.
+func (r *Run) source() analysis.Run { return analysis.Run{M: r.m, Art: r.art} }
 
 // analyzerFor builds the MB-AVF analyzer of one structure under one
-// interleaving layout — the single construction path behind every query
+// interleaving layout: the single construction path behind every query
 // method, called after validateQuery.
-// A layout the structure's geometry cannot take (a factor that does not
-// divide it) and an Mx1 mode wider than its wordlines are bad options.
+// A style the structure does not take, a layout its geometry cannot
+// take (a factor that does not divide it) and an Mx1 mode wider than
+// its wordlines are bad options. All three are checked before the
+// (possibly lazily decoded) measurements are touched, so malformed
+// queries against store-loaded runs never pay for a section decode.
 func (r *Run) analyzerFor(st Structure, il Interleaving, modeBits int) (*core.Analyzer, error) {
-	var lay *interleave.Layout
-	var preempt, wordVersions bool
-	var err error
-	switch st {
-	case L1:
-		lay, err = cacheLayout(il, r.m.L1Sets, r.m.L1Ways, r.m.LineBytes*8)
-	case L2:
-		lay, err = cacheLayout(il, r.m.L2Sets, r.m.L2Ways, r.m.LineBytes*8)
-	case VGPR:
-		lay, preempt, err = r.vgprLayout(il)
-		wordVersions = true
-	default:
-		return nil, fmt.Errorf("%w: unknown structure %q (have l1, l2, vgpr)", ErrBadOption, st)
-	}
+	p, err := r.source().Plan(analysis.Structure(st), analysis.Style(il.Style), il.Factor)
 	if err != nil {
-		if !errors.Is(err, ErrBadOption) {
-			err = fmt.Errorf("%w: %v", ErrBadOption, err)
-		}
-		return nil, err
+		return nil, fmt.Errorf("%w: %v", ErrBadOption, err)
 	}
-	if geom := lay.Geom; modeBits > geom.Cols {
+	if geom := p.Layout.Geom; modeBits > geom.Cols {
 		return nil, fmt.Errorf("%w: fault mode %dx1 does not fit the %s geometry %dx%d", ErrBadOption, modeBits, st, geom.Rows, geom.Cols)
 	}
-	// The layout is validated before the (possibly lazily decoded)
-	// measurements are touched, so malformed queries against
-	// store-loaded runs never pay for a section decode.
-	g, err := r.graph()
-	if err != nil {
-		return nil, err
-	}
-	tr, err := r.tracker(st)
-	if err != nil {
-		return nil, err
-	}
-	return &core.Analyzer{
-		Layout:               lay,
-		Tracker:              tr,
-		Graph:                g,
-		WordVersions:         wordVersions,
-		TotalCycles:          r.m.Cycles,
-		DetectionPreemptsSDC: preempt,
-	}, nil
+	return p.Analyzer()
 }
 
 // AVF measures the MB-AVF of an Mx1 fault mode (modeBits adjacent bits
