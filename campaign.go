@@ -240,32 +240,17 @@ func (ic *InjectionCampaign) RunCampaign(ctx context.Context, cfg CampaignRunCon
 	}
 
 	results := make([]InjectionResult, 0, len(rep.Shots))
-	var sum CampaignSummary
-	for _, s := range rep.Shots {
-		if s.Err != "" {
-			sum.Errors++
-			continue
-		}
+	for _, r := range rep.Results() {
 		results = append(results, InjectionResult{
-			Cycle:   s.Target.Cycle,
-			Thread:  s.Target.Thread,
-			Reg:     s.Target.Reg,
-			Bit:     s.Target.Bit,
-			Outcome: outcomeOf(s.Outcome),
+			Cycle:   r.Target.Cycle,
+			Thread:  r.Target.Thread,
+			Reg:     r.Target.Reg,
+			Bit:     r.Target.Bit,
+			Outcome: outcomeOf(r.Outcome),
 		})
-		switch outcomeOf(s.Outcome) {
-		case Masked:
-			sum.Masked++
-		case SDC:
-			sum.SDC++
-		case DUE:
-			sum.DUE++
-		case Hang:
-			sum.Hang++
-		case Crash:
-			sum.Crash++
-		}
 	}
+	n := rep.Counts()
+	sum := CampaignSummary{Masked: n.Masked, SDC: n.SDC, DUE: n.DUE, Hang: n.Hang, Crash: n.Crash, Errors: rep.InfraErrors()}
 	return results, sum, runErr
 }
 
@@ -280,7 +265,9 @@ type InterferenceRow struct {
 // RunInterference injects, for every SDC outcome in results, the
 // modeSizes-bit fault groups containing that bit, and counts ACE
 // interference (groups masked despite containing an SDC ACE bit).
-func (ic *InjectionCampaign) RunInterference(results []InjectionResult, modeSizes []int) ([]InterferenceRow, error) {
+// Cancelling ctx stops the study before its next group injection and
+// returns the rows completed so far with the context's error.
+func (ic *InjectionCampaign) RunInterference(ctx context.Context, results []InjectionResult, modeSizes []int) ([]InterferenceRow, error) {
 	var sdc []inject.Result
 	for _, r := range results {
 		if r.Outcome == SDC {
@@ -290,7 +277,7 @@ func (ic *InjectionCampaign) RunInterference(results []InjectionResult, modeSize
 			})
 		}
 	}
-	study, err := ic.c.InterferenceStudy(sdc, modeSizes)
+	study, err := ic.c.InterferenceStudy(ctx, sdc, modeSizes)
 	out := make([]InterferenceRow, len(study))
 	for i, s := range study {
 		out[i] = InterferenceRow{ModeSize: s.ModeSize, Groups: s.Groups, Interference: s.Interference}

@@ -192,7 +192,7 @@ func main() {
 	}
 
 	if *interference {
-		rows, err := c.RunInterference(results, []int{2, 3, 4})
+		rows, err := c.RunInterference(ctx, results, []int{2, 3, 4})
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "mbavf-inject:", err)
 			finishObs()

@@ -1,10 +1,14 @@
 package experiments
 
 import (
+	"net/http"
+	"net/http/httptest"
 	"strconv"
 	"strings"
 	"testing"
 
+	"mbavf/internal/fabric"
+	"mbavf/internal/obs"
 	"mbavf/internal/policy"
 	"mbavf/internal/report"
 )
@@ -279,6 +283,41 @@ func TestTable2Runs(t *testing.T) {
 	}
 	if !strings.Contains(tb.Caption, "interference") {
 		t.Error("caption should describe interference")
+	}
+}
+
+// TestTable2OnFabric runs table2's campaigns on a fabric worker: the
+// table must be the one the in-process pool renders.
+func TestTable2OnFabric(t *testing.T) {
+	w := fabric.NewWorker(fabric.WorkerConfig{})
+	mux := http.NewServeMux()
+	w.Mount(mux)
+	srv := httptest.NewServer(mux)
+	defer func() {
+		srv.Close()
+		w.Close()
+	}()
+	o := quickOpts()
+	o.Workloads = []string{"vecadd"}
+	o.Injections = 48
+	render := func(o Options) string {
+		var b strings.Builder
+		for _, tb := range runExp(t, "table2", o) {
+			tb.Render(&b)
+		}
+		return b.String()
+	}
+	local := render(o)
+	obs.Enable()
+	defer obs.Disable()
+	leases := obs.NewCounter("fabric.leases_completed")
+	before := leases.Value()
+	o.FabricWorkers = []string{srv.URL}
+	if dist := render(o); dist != local {
+		t.Errorf("table2 on a fabric worker:\n%s\nin-process:\n%s", dist, local)
+	}
+	if leases.Value() == before {
+		t.Error("no lease completed on the fabric worker")
 	}
 }
 

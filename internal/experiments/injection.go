@@ -59,7 +59,7 @@ func table2(o Options) ([]*report.Table, error) {
 		}
 		lostShots += rep.InfraErrors()
 		sdc := inject.SDCBits(rep.Results())
-		study, err := c.InterferenceStudy(sdc, []int{2, 3, 4})
+		study, err := c.InterferenceStudy(o.ctx(), sdc, []int{2, 3, 4})
 		if err != nil {
 			return nil, err
 		}

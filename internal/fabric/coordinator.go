@@ -8,7 +8,6 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -31,7 +30,6 @@ var (
 	obsQuarantines     = obs.NewCounter("fabric.worker_quarantines")
 	obsLocalLeases     = obs.NewCounter("fabric.local_leases")
 	obsLocalRuns       = obs.NewCounter("fabric.local_runs")
-	obsShotsMerged     = obs.NewCounter("fabric.shots_merged")
 	obsDuplicateShots  = obs.NewCounter("fabric.duplicate_shots")
 	obsDispatchNS      = obs.NewHistogram("fabric.dispatch_ns")
 	obsLeaseNS         = obs.NewHistogram("fabric.lease_ns")
@@ -199,12 +197,12 @@ type leaseOutcome struct {
 	err   error
 }
 
-// Run executes a campaign of rc.N shots across the fleet with the same
-// contract as (*inject.Campaign).Run: results are bit-identical to a
-// serial run for any fleet size and any failure history, cancelling ctx
-// drains merged shots into the report, rc.Completed seeds resume, and
-// rc.OnShot observes every newly merged shot (never concurrently) — so
-// the existing checkpoint machinery works unchanged on top.
+// Run executes a campaign of rc.N shots across the fleet. It is
+// (*inject.Campaign).Run with the fleet as executor, so the report is
+// bit-identical to a serial run for any fleet size and any failure
+// history, and cancellation, rc.Timeout, rc.MaxErrors, rc.Completed,
+// rc.OnShot and the inject.* tallies behave exactly as on the local
+// path — the existing checkpoint machinery works unchanged on top.
 func (co *Coordinator) Run(ctx context.Context, rc inject.RunConfig) (*inject.RunReport, error) {
 	if co.local == nil {
 		return nil, errors.New("fabric: coordinator has no campaign")
@@ -215,94 +213,62 @@ func (co *Coordinator) Run(ctx context.Context, rc inject.RunConfig) (*inject.Ru
 		obsLocalRuns.Add(1)
 		return co.local.Run(ctx, rc)
 	}
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	if rc.N < 0 {
-		return nil, fmt.Errorf("fabric: negative campaign size %d", rc.N)
-	}
-	resumed, done, err := co.local.Resumed(rc)
-	if err != nil {
-		return nil, err
-	}
-	if rc.Timeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, rc.Timeout)
-		defer cancel()
-	}
+	return co.local.RunOn(ctx, rc, func(ctx context.Context, spans []inject.Span, out chan<- inject.Shot) error {
+		return co.runShots(ctx, rc, spans, out)
+	})
+}
+
+// runShots is the fleet executor of Run: it shards each pending span
+// into leases, dispatches them, and forwards each shot index once. When
+// the dispatch error budget trips it cancels its own dispatch and
+// returns the ErrDispatchBudget error.
+func (co *Coordinator) runShots(ctx context.Context, rc inject.RunConfig, spans []inject.Span, out chan<- inject.Shot) error {
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
-
-	rep := &inject.RunReport{N: rc.N, Seed: rc.Seed, Shots: resumed}
 	// The campaign trace ID is deterministic in (workload, seed, N): a
 	// coordinator restart re-joins the same logical trace, and the ID
 	// doubles as the campaign key of every lifecycle event.
 	traceID := fmt.Sprintf("campaign:%s:%d:%d", co.workload, rc.Seed, rc.N)
-	jobs := co.shotJobs(rc, done, traceID)
+	jobs := co.shotJobs(rc, spans, traceID)
+	// reported counts the shots of the final report: the resumed ones
+	// (every index outside spans) plus each one forwarded.
+	reported := rc.N
+	for _, sp := range spans {
+		reported -= sp.End - sp.Start
+	}
 
 	sp := obs.StartSpan2("fabric:", co.workload)
 	defer sp.End()
-	obs.CampaignStart(co.workload, rc.N, len(done))
 	obs.TraceAsyncBegin("campaign", "campaign:"+co.workload, traceID)
 	defer obs.TraceAsyncEnd("campaign", "campaign:"+co.workload, traceID)
 	obs.LogEvent(obs.Event{Type: "campaign.start", Campaign: traceID, N: rc.N})
 	defer func() {
-		obs.LogEvent(obs.Event{Type: "campaign.done", Campaign: traceID, N: len(rep.Shots)})
+		obs.LogEvent(obs.Event{Type: "campaign.done", Campaign: traceID, N: reported})
 	}()
 	stopScrape := co.startFleetScrape(ctx)
 	defer stopScrape()
 
-	outcomes := co.dispatch(ctx, jobs)
-
-	infraErrs := 0
-	budgetHit := false
 	var dispatchErr error
-	for out := range outcomes {
-		if out.err != nil {
-			if errors.Is(out.err, ErrDispatchBudget) && dispatchErr == nil {
-				dispatchErr = out.err
-				cancel()
-			}
+	sent := make(map[int]bool)
+	for o := range co.dispatch(ctx, jobs) {
+		if errors.Is(o.err, ErrDispatchBudget) && dispatchErr == nil {
+			dispatchErr = o.err
+			cancel()
 		}
-		for _, s := range out.shots {
-			if s.Index < 0 || s.Index >= rc.N {
-				continue
-			}
-			if done[s.Index] {
+		for _, s := range o.shots {
+			if sent[s.Index] {
 				// A stolen lease's original owner also finished, or a
 				// retried POST re-attached: determinism makes the copies
 				// identical, so reconciliation is "keep the first".
 				obsDuplicateShots.Add(1)
 				continue
 			}
-			done[s.Index] = true
-			rep.Shots = append(rep.Shots, s)
-			obsShotsMerged.Add(1)
-			obs.CampaignShotDone()
-			if s.Err != "" {
-				infraErrs++
-				if rc.MaxErrors > 0 && infraErrs > rc.MaxErrors && !budgetHit {
-					budgetHit = true
-					cancel() // graceful: drain in-flight leases, keep results
-				}
-			}
-			if rc.OnShot != nil {
-				rc.OnShot(s)
-			}
+			sent[s.Index] = true
+			reported++
+			out <- s
 		}
 	}
-	sort.Slice(rep.Shots, func(i, j int) bool { return rep.Shots[i].Index < rep.Shots[j].Index })
-
-	if budgetHit {
-		return rep, fmt.Errorf("fabric: %w (%d shots failed)", inject.ErrBudget, infraErrs)
-	}
-	if dispatchErr != nil {
-		return rep, dispatchErr
-	}
-	if err := ctx.Err(); err != nil && !rep.Complete() {
-		return rep, err
-	}
-	return rep, nil
+	return dispatchErr
 }
 
 // RunAVFBatch evaluates a batch of AVF queries across the fleet,
@@ -363,15 +329,13 @@ func avfLeaseID(batch []AVFQuery, off int) string {
 	return fmt.Sprintf("avf:%d:%s", off, hex.EncodeToString(sum[:8]))
 }
 
-// shotJobs shards the campaign's pending indices into contiguous leased
-// ranges of at most ShardSize shots. Resume checkpoints leave scattered
-// holes; each maximal run of missing indices becomes its own lease
-// sequence.
-func (co *Coordinator) shotJobs(rc inject.RunConfig, done map[int]bool, traceID string) []*leaseJob {
+// shotJobs shards each pending span into contiguous leased ranges of
+// at most ShardSize shots.
+func (co *Coordinator) shotJobs(rc inject.RunConfig, spans []inject.Span, traceID string) []*leaseJob {
 	var jobs []*leaseJob
-	emit := func(start, end int) {
-		for s := start; s < end; s += co.cfg.ShardSize {
-			e := min(s+co.cfg.ShardSize, end)
+	for _, sp := range spans {
+		for s := sp.Start; s < sp.End; s += co.cfg.ShardSize {
+			e := min(s+co.cfg.ShardSize, sp.End)
 			jobs = append(jobs, &leaseJob{req: LeaseRequest{
 				ID:       fmt.Sprintf("shots:%s:%d:%d:%d-%d", co.workload, rc.Seed, rc.N, s, e),
 				Kind:     KindShots,
@@ -382,22 +346,6 @@ func (co *Coordinator) shotJobs(rc inject.RunConfig, done map[int]bool, traceID 
 				Golden:   co.golden,
 			}, trace: traceID})
 		}
-	}
-	runStart := -1
-	for i := 0; i < rc.N; i++ {
-		if done[i] {
-			if runStart >= 0 {
-				emit(runStart, i)
-				runStart = -1
-			}
-			continue
-		}
-		if runStart < 0 {
-			runStart = i
-		}
-	}
-	if runStart >= 0 {
-		emit(runStart, rc.N)
 	}
 	return jobs
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -288,6 +289,140 @@ func TestUnreachableFleetFallsBackLocal(t *testing.T) {
 	}
 	if quar() == 0 {
 		t.Error("repeat-offender workers were not quarantined")
+	}
+}
+
+// TestCountersMatchAcrossExecutors: inject.Campaign.Run is the one
+// collector of campaign shots, so a serial run, a one-worker fleet and
+// an unreachable fleet that falls back in-process add the same
+// inject.shots and inject.outcome.* tallies.
+func TestCountersMatchAcrossExecutors(t *testing.T) {
+	names := []string{"inject.shots", "inject.infra_errors"}
+	for _, o := range []inject.Outcome{inject.OutcomeMasked, inject.OutcomeSDC, inject.OutcomeDUE, inject.OutcomeHang, inject.OutcomeCrash} {
+		names = append(names, "inject.outcome."+o.String())
+	}
+	_, w1 := startWorker(t, WorkerConfig{})
+	unreachable := fastConfig("http://127.0.0.1:1")
+	unreachable.MaxAttempts = 1
+	runs := []struct {
+		label string
+		run   func(context.Context, inject.RunConfig) (*inject.RunReport, error)
+	}{
+		{"serial", synthCampaign(t, "synthA").Run},
+		{"one-worker", New(fastConfig(w1.URL), synthCampaign(t, "synthA")).Run},
+		{"unreachable", New(unreachable, synthCampaign(t, "synthA")).Run},
+	}
+	var want []uint64
+	for _, r := range runs {
+		deltas := make([]func() uint64, len(names))
+		for i, name := range names {
+			deltas[i] = counterDelta(name)
+		}
+		if _, err := r.run(context.Background(), inject.RunConfig{N: testN, Seed: testSeed, Workers: 1}); err != nil {
+			t.Fatalf("%s: %v", r.label, err)
+		}
+		got := make([]uint64, len(names))
+		for i, d := range deltas {
+			got[i] = d()
+		}
+		if want == nil {
+			want = got
+			if got[0] != testN {
+				t.Fatalf("serial run counted %d inject.shots, want %d", got[0], testN)
+			}
+			continue
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: deltas of %v = %v, serial run %v", r.label, names, got, want)
+		}
+	}
+}
+
+// TestDispatchBudgetAbortsRun: once more lease dispatches fail than
+// Config.ErrorBudget allows, the run stops with ErrDispatchBudget and
+// returns its partial report, sorted, with the resumed shots in it.
+func TestDispatchBudgetAbortsRun(t *testing.T) {
+	rc := inject.RunConfig{N: testN, Seed: testSeed, Workers: 1}
+	serial, err := synthCampaign(t, "synthA").Run(context.Background(), rc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Resume from three shots handed over out of order.
+	rc.Completed = []inject.Shot{serial.Shots[9], serial.Shots[2], serial.Shots[20]}
+	cfg := fastConfig("http://127.0.0.1:1", "http://127.0.0.1:2")
+	cfg.ErrorBudget = 1
+	rep, err := New(cfg, synthCampaign(t, "synthA")).Run(context.Background(), rc)
+	if !errors.Is(err, ErrDispatchBudget) {
+		t.Fatalf("err = %v, want ErrDispatchBudget", err)
+	}
+	if rep == nil || rep.Complete() || len(rep.Shots) < len(rc.Completed) {
+		t.Fatalf("want a partial report holding the resumed shots, got %+v", rep)
+	}
+	for i, s := range rep.Shots {
+		if i > 0 && rep.Shots[i-1].Index >= s.Index {
+			t.Fatalf("report not sorted by index: %d after %d", s.Index, rep.Shots[i-1].Index)
+		}
+		if s != serial.Shots[s.Index] {
+			t.Fatalf("shot %d = %+v, serial run %+v", s.Index, s, serial.Shots[s.Index])
+		}
+	}
+}
+
+// brokenCampaign is a CampaignResolver for a workload whose golden run
+// names every vector register and whose injected runs fail with a
+// non-trap error, so every shot is an infrastructure failure. Each
+// campaign counts its own calls, the first being the golden run.
+func brokenCampaign(name string) (*inject.Campaign, error) {
+	cfg := sim.InjectionConfig()
+	var calls atomic.Int64
+	w := sim.Workload{
+		Name: name,
+		Run: func(s *sim.Session) error {
+			if calls.Add(1) > 1 {
+				return errors.New("scratch disk on fire")
+			}
+			b := gpu.NewBuilder(name)
+			for r := 0; r < cfg.GPU.NumVRegs; r++ {
+				b.VMov(gpu.V(r), gpu.Tid())
+			}
+			b.VShl(gpu.V(1), gpu.V(0), gpu.Imm(2))
+			b.VAdd(gpu.V(1), gpu.V(1), gpu.S(0))
+			b.VStore(gpu.V(1), 0, gpu.V(0))
+			b.EndPgm()
+			prog, err := b.Build()
+			if err != nil {
+				return err
+			}
+			out := s.OutputWords(gpu.Lanes)
+			return s.Run(gpu.Dispatch{Prog: prog, Waves: 1, Args: []uint32{out}})
+		},
+	}
+	return inject.NewCampaign(w, cfg)
+}
+
+// TestErrorBudgetOnFleet: the MaxErrors budget aborts a distributed run
+// as it does a local one (TestErrorBudgetAbortsGracefully in
+// internal/inject), with inject.ErrBudget and the merged shots kept.
+func TestErrorBudgetOnFleet(t *testing.T) {
+	_, w1 := startWorker(t, WorkerConfig{Campaigns: brokenCampaign})
+	c, err := brokenCampaign("broken")
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, err := New(fastConfig(w1.URL), c).Run(context.Background(), inject.RunConfig{N: testN, Seed: testSeed, MaxErrors: 3})
+	if !errors.Is(err, inject.ErrBudget) {
+		t.Fatalf("err = %v, want inject.ErrBudget", err)
+	}
+	if rep.Complete() {
+		t.Fatal("budget-aborted campaign should not complete")
+	}
+	if got := rep.InfraErrors(); got < 4 || got != len(rep.Shots) {
+		t.Errorf("kept %d shots, %d of them failed; want >= 4, all failed", len(rep.Shots), got)
+	}
+	for _, s := range rep.Shots {
+		if !strings.Contains(s.Err, "infrastructure") {
+			t.Fatalf("shot error %q does not mark infrastructure failure", s.Err)
+		}
 	}
 }
 

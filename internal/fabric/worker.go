@@ -25,7 +25,6 @@ var (
 	obsWLeaseFailed   = obs.NewCounter("fabric.worker.leases_failed")
 	obsWLeaseExpired  = obs.NewCounter("fabric.worker.leases_expired")
 	obsWLeaseActive   = obs.NewGauge("fabric.worker.leases_active")
-	obsWShotNS        = obs.NewHistogram("fabric.worker.shot_ns")
 )
 
 // AVFEvaluator answers one AVF query with an opaque JSON document. The
@@ -334,9 +333,9 @@ func (w *Worker) execute(ctx context.Context, l *workerLease) {
 	}
 }
 
-// executeShots runs the lease's shot range on a pool of GOMAXPROCS
-// goroutines. Every shot depends only on (seed, index), so the pool's
-// schedule cannot affect the result.
+// executeShots runs the lease's shot range on the campaign pool with
+// GOMAXPROCS goroutines. Every shot depends only on (seed, index), so
+// the pool's schedule cannot affect the result.
 func (w *Worker) executeShots(ctx context.Context, l *workerLease) {
 	c, err := w.campaign(l.req.Workload)
 	if err != nil {
@@ -348,50 +347,21 @@ func (w *Worker) executeShots(ctx context.Context, l *workerLease) {
 		return
 	}
 
-	n := l.req.End - l.req.Start
-	workers := min(runtime.GOMAXPROCS(0), n)
-	indices := make(chan int)
-	shots := make(chan inject.Shot)
-	var wg sync.WaitGroup
-	for range workers {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range indices {
-				if w.cfg.ShotDelay > 0 {
-					select {
-					case <-time.After(w.cfg.ShotDelay):
-					case <-ctx.Done():
-						return
-					}
-				}
-				began := time.Now()
-				s := c.RunShot(l.req.Seed, i)
-				obsWShotNS.Record(uint64(time.Since(began)))
-				select {
-				case shots <- s:
-				case <-ctx.Done():
-					return
-				}
-			}
-		}()
-	}
-	go func() {
-		defer close(indices)
-		for i := l.req.Start; i < l.req.End; i++ {
+	shot := func(i int) inject.Shot {
+		if w.cfg.ShotDelay > 0 {
 			select {
-			case indices <- i:
+			case <-time.After(w.cfg.ShotDelay):
 			case <-ctx.Done():
-				return
 			}
 		}
-	}()
+		return c.RunShot(l.req.Seed, i)
+	}
+	shots := make(chan inject.Shot)
 	go func() {
-		wg.Wait()
+		inject.Pool(ctx, []inject.Span{{Start: l.req.Start, End: l.req.End}}, runtime.GOMAXPROCS(0), shot, shots)
 		close(shots)
 	}()
-
-	out := make([]inject.Shot, 0, n)
+	out := make([]inject.Shot, 0, l.req.End-l.req.Start)
 	for s := range shots {
 		out = append(out, s)
 		l.mu.Lock()

@@ -93,11 +93,11 @@ func checkShortcuts(t *testing.T, name string) {
 			}
 		}
 		sdc := SDCBits(want.Results())
-		wantRows, err := full.InterferenceStudy(sdc, []int{2, 3, 4})
+		wantRows, err := full.InterferenceStudy(context.Background(), sdc, []int{2, 3, 4})
 		if err != nil {
 			t.Fatal(err)
 		}
-		gotRows, err := fast.InterferenceStudy(sdc, []int{2, 3, 4})
+		gotRows, err := fast.InterferenceStudy(context.Background(), sdc, []int{2, 3, 4})
 		if err != nil {
 			t.Fatal(err)
 		}

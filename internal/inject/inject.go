@@ -295,17 +295,6 @@ func (c *Campaign) target(seed int64, i int) Target {
 	}
 }
 
-// SingleBitCampaign performs n random single-bit injections serially and
-// returns every result. It is the Workers=1 special case of Run; on
-// error it returns the results completed so far alongside the error.
-func (c *Campaign) SingleBitCampaign(n int, seed int64) ([]Result, error) {
-	rep, err := c.Run(nil, RunConfig{N: n, Seed: seed, Workers: 1})
-	if rep == nil {
-		return nil, err
-	}
-	return rep.Results(), err
-}
-
 // SDCBits filters a campaign's results to the SDC ACE targets.
 func SDCBits(results []Result) []Result {
 	var out []Result
@@ -368,9 +357,10 @@ type InterferenceResult struct {
 // injection, the multi-bit fault group of each mode size containing it
 // (same cycle, same register, adjacent bits), and counts ACE
 // interference: groups whose multi-bit outcome is masked although the
-// single-bit model predicts SDC. On error the rows completed so far are
-// returned alongside the error, so a long study degrades gracefully.
-func (c *Campaign) InterferenceStudy(sdcBits []Result, modeSizes []int) ([]InterferenceResult, error) {
+// single-bit model predicts SDC. On error, including the cancellation of
+// ctx (checked before each group injection), the rows completed so far
+// are returned alongside the error, so a long study degrades gracefully.
+func (c *Campaign) InterferenceStudy(ctx context.Context, sdcBits []Result, modeSizes []int) ([]InterferenceResult, error) {
 	out := make([]InterferenceResult, 0, len(modeSizes))
 	for _, m := range modeSizes {
 		if m < 2 || m > 32 {
@@ -378,6 +368,9 @@ func (c *Campaign) InterferenceStudy(sdcBits []Result, modeSizes []int) ([]Inter
 		}
 		res := InterferenceResult{ModeSize: m}
 		for _, sb := range sdcBits {
+			if err := ctx.Err(); err != nil {
+				return out, err
+			}
 			o, err := c.RunMask(sb.Target, groupMask(sb.Target.Bit, m))
 			if err != nil {
 				return out, err

@@ -1,6 +1,8 @@
 package inject
 
 import (
+	"context"
+	"errors"
 	"testing"
 
 	"mbavf/internal/sim"
@@ -36,10 +38,11 @@ func TestGoldenRunMatchesWorkloadGolden(t *testing.T) {
 
 func TestSingleBitCampaignOutcomes(t *testing.T) {
 	c := vecaddCampaign(t)
-	results, err := c.SingleBitCampaign(40, 3)
+	rep, err := c.Run(context.Background(), RunConfig{N: 40, Seed: 3, Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
+	results := rep.Results()
 	if len(results) != 40 {
 		t.Fatalf("got %d results", len(results))
 	}
@@ -59,17 +62,17 @@ func TestSingleBitCampaignOutcomes(t *testing.T) {
 
 func TestCampaignDeterminism(t *testing.T) {
 	c := vecaddCampaign(t)
-	a, err := c.SingleBitCampaign(10, 7)
+	a, err := c.Run(context.Background(), RunConfig{N: 10, Seed: 7, Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := c.SingleBitCampaign(10, 7)
+	b, err := c.Run(context.Background(), RunConfig{N: 10, Seed: 7, Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("run %d differs: %+v vs %+v", i, a[i], b[i])
+	for i := range a.Shots {
+		if a.Shots[i] != b.Shots[i] {
+			t.Fatalf("run %d differs: %+v vs %+v", i, a.Shots[i], b.Shots[i])
 		}
 	}
 }
@@ -140,15 +143,15 @@ func popcount(x uint32) int {
 
 func TestInterferenceStudySmall(t *testing.T) {
 	c := vecaddCampaign(t)
-	singles, err := c.SingleBitCampaign(30, 3)
+	singles, err := c.Run(context.Background(), RunConfig{N: 30, Seed: 3, Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	sdc := SDCBits(singles)
+	sdc := SDCBits(singles.Results())
 	if len(sdc) == 0 {
 		t.Skip("no SDC bits found in small campaign")
 	}
-	study, err := c.InterferenceStudy(sdc[:min(len(sdc), 4)], []int{2, 3})
+	study, err := c.InterferenceStudy(context.Background(), sdc[:min(len(sdc), 4)], []int{2, 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,11 +170,28 @@ func TestInterferenceStudySmall(t *testing.T) {
 
 func TestInterferenceRejectsBadModeSize(t *testing.T) {
 	c := vecaddCampaign(t)
-	if _, err := c.InterferenceStudy(nil, []int{1}); err == nil {
+	if _, err := c.InterferenceStudy(context.Background(), nil, []int{1}); err == nil {
 		t.Error("mode size 1 should be rejected")
 	}
-	if _, err := c.InterferenceStudy(nil, []int{33}); err == nil {
+	if _, err := c.InterferenceStudy(context.Background(), nil, []int{33}); err == nil {
 		t.Error("mode size 33 should be rejected")
+	}
+}
+
+// TestInterferenceStudyHonorsContext: a cancelled study stops before
+// its next group injection and returns the rows completed so far, none
+// here, with the context's error.
+func TestInterferenceStudyHonorsContext(t *testing.T) {
+	c := vecaddCampaign(t)
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	sdc := []Result{{Target: Target{Reg: 1, Bit: 3}, Outcome: OutcomeSDC}}
+	rows, err := c.InterferenceStudy(ctx, sdc, []int{2, 3, 4})
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+	if len(rows) != 0 {
+		t.Fatalf("cancelled study returned %d rows, want none", len(rows))
 	}
 }
 

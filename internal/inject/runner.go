@@ -127,32 +127,15 @@ func (r *RunReport) Results() []Result {
 // Counts tallies the classified outcomes.
 func (r *RunReport) Counts() Counts { return Count(r.Results()) }
 
-// Resumed returns the shots of rc.Completed that seed a run of rc, one
-// per index in [0, rc.N) with the first copy winning, and the set of
-// their indices. It fails with ErrForeignShot, before any shot runs, if
-// one of them is not the shot this campaign samples for its index.
-func (c *Campaign) Resumed(rc RunConfig) ([]Shot, map[int]bool, error) {
-	var shots []Shot
-	done := make(map[int]bool, len(rc.Completed))
-	for _, s := range rc.Completed {
-		if s.Index < 0 || s.Index >= rc.N {
-			continue
-		}
-		if want := c.target(rc.Seed, s.Index); s.Target != want {
-			return nil, nil, fmt.Errorf("inject: %w: shot %d targets %+v, seed %d samples %+v",
-				ErrForeignShot, s.Index, s.Target, rc.Seed, want)
-		}
-		if !done[s.Index] {
-			done[s.Index] = true
-			shots = append(shots, s)
-		}
-	}
-	return shots, done, nil
-}
+// Span is the half-open range [Start, End) of shot indices.
+type Span struct{ Start, End int }
 
-// runShot executes one indexed injection. Panics are already absorbed by
-// RunMask, so a worker can never take the process down.
-func (c *Campaign) runShot(seed int64, i int) Shot {
+// RunShot executes one indexed injection. The shot's target depends only
+// on (seed, i) through the per-shot splitmix64 RNG, so any executor
+// anywhere — a fabric worker, a re-dispatch after a steal, the
+// coordinator's local fallback — produces the identical Shot. Panics are
+// already absorbed by RunMask, so a shot can never take the process down.
+func (c *Campaign) RunShot(seed int64, i int) Shot {
 	tgt := c.target(seed, i)
 	s := Shot{Index: i, Target: tgt}
 	var began time.Time
@@ -175,31 +158,98 @@ func (c *Campaign) runShot(seed int64, i int) Shot {
 	return s
 }
 
-// RunShot executes one indexed injection. The shot's target depends only
-// on (seed, i) through the per-shot splitmix64 RNG, so any executor
-// anywhere — a fabric worker, a re-dispatch after a steal, the
-// coordinator's local fallback — produces the identical Shot. Exported
-// for the distributed campaign fabric.
-func (c *Campaign) RunShot(seed int64, i int) Shot { return c.runShot(seed, i) }
+// Pool runs shot(i) for every index of spans, in order, on workers
+// goroutines (a value below 1 means one), sends each result on out, and
+// returns once every started shot has been sent. Cancelling ctx stops
+// the feed; shots already started still run and are sent, so nothing
+// already simulated is lost. Every shot depends only on its index, so
+// the schedule cannot change a result.
+func Pool(ctx context.Context, spans []Span, workers int, shot func(i int) Shot, out chan<- Shot) {
+	indices := make(chan int)
+	var wg sync.WaitGroup
+	for range max(workers, 1) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := range indices {
+				out <- shot(i)
+			}
+		}()
+	}
+feed:
+	for _, sp := range spans {
+		for i := sp.Start; i < sp.End; i++ {
+			select {
+			case indices <- i:
+			case <-ctx.Done():
+				break feed
+			}
+		}
+	}
+	close(indices)
+	wg.Wait()
+}
 
-// Run executes a single-bit campaign of cfg.N shots on a worker pool.
-// Targets depend only on (cfg.Seed, shot index), so serial and parallel
-// runs produce identical reports. Cancelling ctx (or exceeding
-// cfg.Timeout) stops the feed, drains in-flight shots, and returns the
-// completed shots with the context's error — nothing already simulated
-// is lost. Per-shot infrastructure failures are recorded on the shot and
-// only abort the run once the cfg.MaxErrors budget is exceeded.
+// Run executes a single-bit campaign of cfg.N shots on the in-process
+// Pool of cfg.Workers goroutines. Targets depend only on (cfg.Seed, shot
+// index), so serial and parallel runs produce identical reports.
+// Cancelling ctx (or exceeding cfg.Timeout) stops the feed, drains
+// in-flight shots, and returns the completed shots with the context's
+// error — nothing already simulated is lost. Per-shot infrastructure
+// failures are recorded on the shot and only abort the run once the
+// cfg.MaxErrors budget is exceeded.
 func (c *Campaign) Run(ctx context.Context, cfg RunConfig) (*RunReport, error) {
+	return c.RunOn(ctx, cfg, func(ctx context.Context, spans []Span, out chan<- Shot) error {
+		Pool(ctx, spans, cfg.Workers, func(i int) Shot { return c.RunShot(cfg.Seed, i) }, out)
+		return nil
+	})
+}
+
+// RunOn is Run with the pending shots executed by exec instead of the
+// in-process pool; the distributed campaign fabric passes its fleet.
+// RunOn is the one collector of campaign shots: it alone checks the
+// resumed shots of cfg.Completed, applies the timeout and the MaxErrors
+// budget, calls OnShot, counts the inject.* tallies and sorts the
+// report. exec gets the indices of [0, cfg.N) that no resumed shot
+// holds, as maximal spans in index order. It must send every shot it
+// completes on out, each index at most once, stop starting shots once
+// ctx is done, and return when it will send no more. Its error is
+// returned unless the error budget tripped first.
+func (c *Campaign) RunOn(ctx context.Context, cfg RunConfig, exec func(ctx context.Context, spans []Span, out chan<- Shot) error) (*RunReport, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
 	if cfg.N < 0 {
 		return nil, fmt.Errorf("inject: negative campaign size %d", cfg.N)
 	}
-	resumed, done, err := c.Resumed(cfg)
-	if err != nil {
-		return nil, err
+	rep := &RunReport{N: cfg.N, Seed: cfg.Seed}
+	done := make(map[int]bool, len(cfg.Completed))
+	for _, s := range cfg.Completed {
+		if s.Index < 0 || s.Index >= cfg.N {
+			continue
+		}
+		if want := c.target(cfg.Seed, s.Index); s.Target != want {
+			return nil, fmt.Errorf("inject: %w: shot %d targets %+v, seed %d samples %+v",
+				ErrForeignShot, s.Index, s.Target, cfg.Seed, want)
+		}
+		if !done[s.Index] {
+			done[s.Index] = true
+			rep.Shots = append(rep.Shots, s)
+		}
 	}
+	sortShots(rep.Shots)
+	var spans []Span
+	next := 0
+	for _, s := range rep.Shots {
+		if s.Index > next {
+			spans = append(spans, Span{Start: next, End: s.Index})
+		}
+		next = s.Index + 1
+	}
+	if next < cfg.N {
+		spans = append(spans, Span{Start: next, End: cfg.N})
+	}
+
 	if cfg.Timeout > 0 {
 		var cancel context.CancelFunc
 		ctx, cancel = context.WithTimeout(ctx, cfg.Timeout)
@@ -208,47 +258,14 @@ func (c *Campaign) Run(ctx context.Context, cfg RunConfig) (*RunReport, error) {
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 
-	rep := &RunReport{N: cfg.N, Seed: cfg.Seed, Shots: resumed}
-
 	sp := obs.StartSpan2("campaign:", c.workload.Name)
 	defer sp.End()
-	obs.CampaignStart(c.workload.Name, cfg.N, len(done))
+	obs.CampaignStart(c.workload.Name, cfg.N, len(rep.Shots))
 
-	workers := cfg.Workers
-	if workers < 1 {
-		workers = 1
-	}
-	if pending := cfg.N - len(done); workers > pending {
-		workers = max(pending, 1)
-	}
-
-	indices := make(chan int)
 	shots := make(chan Shot)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range indices {
-				shots <- c.runShot(cfg.Seed, i)
-			}
-		}()
-	}
+	var execErr error
 	go func() {
-		defer close(indices)
-		for i := 0; i < cfg.N; i++ {
-			if done[i] {
-				continue
-			}
-			select {
-			case indices <- i:
-			case <-ctx.Done():
-				return
-			}
-		}
-	}()
-	go func() {
-		wg.Wait()
+		execErr = exec(ctx, spans, shots)
 		close(shots)
 	}()
 
@@ -272,13 +289,20 @@ func (c *Campaign) Run(ctx context.Context, cfg RunConfig) (*RunReport, error) {
 			cfg.OnShot(s)
 		}
 	}
-	sort.Slice(rep.Shots, func(i, j int) bool { return rep.Shots[i].Index < rep.Shots[j].Index })
+	sortShots(rep.Shots)
 
 	if budgetHit {
 		return rep, fmt.Errorf("inject: %w (%d shots failed)", ErrBudget, infraErrs)
+	}
+	if execErr != nil {
+		return rep, execErr
 	}
 	if err := ctx.Err(); err != nil && !rep.Complete() {
 		return rep, err
 	}
 	return rep, nil
+}
+
+func sortShots(shots []Shot) {
+	sort.Slice(shots, func(i, j int) bool { return shots[i].Index < shots[j].Index })
 }

@@ -82,15 +82,16 @@ type Interface interface {
 	// what lets the store's lazy per-section decode pull only the
 	// timeline a query touches instead of the whole artifact.
 	ReadSection(ctx context.Context, key string, off, n int64) ([]byte, error)
-}
-
-// Quarantiner is implemented by backends that can move a damaged blob
-// out of the addressable namespace while keeping its bytes for
-// post-mortem (the disk backend renames into quarantine/; the HTTP
-// client asks the server to do the same). The store falls back to
-// Delete on backends without it.
-type Quarantiner interface {
+	// Quarantine moves a damaged blob out of the addressable namespace
+	// while keeping its bytes for post-mortem (the disk backend renames
+	// into quarantine/; the HTTP client asks the server to do the same).
 	Quarantine(ctx context.Context, key string) error
+	// Ranged reports whether ReadSection is genuinely cheaper than Get
+	// — an HTTP Range request. The store uses it to decide between
+	// loading a whole artifact eagerly (one sequential read beats five
+	// seeks on a local file) and scanning the section table remotely so
+	// an L1 query never transfers the L2 and register-file timelines.
+	Ranged() bool
 }
 
 // Sweeper is implemented by backends with private debris to reclaim —
@@ -99,14 +100,4 @@ type Quarantiner interface {
 // only counts what it would remove.
 type Sweeper interface {
 	Sweep(ctx context.Context, dryRun bool) (removed int, freed int64, err error)
-}
-
-// Ranged is implemented by backends whose ReadSection is genuinely
-// cheaper than Get — a disk pread, an HTTP Range request. The store
-// uses it to decide between loading a whole artifact eagerly (one
-// sequential read beats five seeks on a local file) and scanning the
-// section table remotely so an L1 query never transfers the L2 and
-// register-file timelines.
-type Ranged interface {
-	Ranged() bool
 }

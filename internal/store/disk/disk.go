@@ -289,8 +289,6 @@ func (b *Backend) Sweep(ctx context.Context, dryRun bool) (removed int, freed in
 
 // check the interface contracts at compile time.
 var (
-	_ backend.Interface   = (*Backend)(nil)
-	_ backend.Quarantiner = (*Backend)(nil)
-	_ backend.Sweeper     = (*Backend)(nil)
-	_ backend.Ranged      = (*Backend)(nil)
+	_ backend.Interface = (*Backend)(nil)
+	_ backend.Sweeper   = (*Backend)(nil)
 )

@@ -408,8 +408,4 @@ func (c *Client) delete(ctx context.Context, key string, quarantine bool) error 
 	})
 }
 
-var (
-	_ backend.Interface   = (*Client)(nil)
-	_ backend.Quarantiner = (*Client)(nil)
-	_ backend.Ranged      = (*Client)(nil)
-)
+var _ backend.Interface = (*Client)(nil)

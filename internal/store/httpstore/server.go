@@ -167,7 +167,7 @@ func (s *Server) HandlePut(w http.ResponseWriter, r *http.Request) {
 }
 
 // HandleDelete removes one artifact; ?quarantine=1 keeps its bytes out
-// of the namespace but inspectable, when the underlying backend can.
+// of the namespace but inspectable.
 func (s *Server) HandleDelete(w http.ResponseWriter, r *http.Request) {
 	key, ok := pathKey(w, r)
 	if !ok {
@@ -176,11 +176,7 @@ func (s *Server) HandleDelete(w http.ResponseWriter, r *http.Request) {
 	ctx := r.Context()
 	var err error
 	if r.URL.Query().Get("quarantine") == "1" {
-		if q, qok := s.b.(backend.Quarantiner); qok {
-			err = q.Quarantine(ctx, key)
-		} else {
-			err = s.b.Delete(ctx, key)
-		}
+		err = s.b.Quarantine(ctx, key)
 	} else {
 		err = s.b.Delete(ctx, key)
 	}

@@ -217,8 +217,6 @@ func (b *Backend) Sweep(ctx context.Context, dryRun bool) (removed int, freed in
 }
 
 var (
-	_ backend.Interface   = (*Backend)(nil)
-	_ backend.Quarantiner = (*Backend)(nil)
-	_ backend.Sweeper     = (*Backend)(nil)
-	_ backend.Ranged      = (*Backend)(nil)
+	_ backend.Interface = (*Backend)(nil)
+	_ backend.Sweeper   = (*Backend)(nil)
 )

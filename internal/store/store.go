@@ -98,18 +98,11 @@ func KeyFor(workload string, cfg sim.Config) string {
 type Store struct {
 	b backend.Interface
 	m *metrics
-	// ranged backends (HTTP) get the section-table-scan load path: an
-	// L1 query transfers the meta, graph and L1 sections only.
-	ranged bool
 }
 
 // NewStore wraps a backend in artifact semantics.
 func NewStore(b backend.Interface) *Store {
-	s := &Store{b: b, m: newMetrics(b.Name())}
-	if rb, ok := b.(backend.Ranged); ok {
-		s.ranged = rb.Ranged()
-	}
-	return s
+	return &Store{b: b, m: newMetrics(b.Name())}
 }
 
 // Open returns a store over a disk backend rooted at dir, creating the
@@ -279,7 +272,7 @@ func simulate(ctx context.Context, workload string) (*sim.Measurements, error) {
 // the whole blob from a local backend, the section table and meta
 // section from a ranged one.
 func (s *Store) load(ctx context.Context, key string) (*Artifact, error) {
-	if s.ranged {
+	if s.b.Ranged() {
 		return s.loadRanged(ctx, key)
 	}
 	return s.loadBlob(ctx, key)
@@ -350,18 +343,11 @@ func (s *Store) quarantineDamaged(ctx context.Context, key string, err error) er
 
 // quarantine counts a damaged artifact in store.corrupt and moves it
 // out of the addressable namespace so the next load for its key misses
-// cleanly. Backends that cannot keep the bytes for post-mortem just
-// delete. Best-effort: a failure leaves the artifact to fail its CRC
+// cleanly. Best-effort: a failure leaves the artifact to fail its CRC
 // again.
 func (s *Store) quarantine(ctx context.Context, key string) {
 	s.m.corrupt.Add(1)
-	if q, ok := s.b.(backend.Quarantiner); ok {
-		if q.Quarantine(ctx, key) == nil {
-			s.m.quarantined.Add(1)
-		}
-		return
-	}
-	if s.b.Delete(ctx, key) == nil {
+	if s.b.Quarantine(ctx, key) == nil {
 		s.m.quarantined.Add(1)
 	}
 }

@@ -217,19 +217,13 @@ func testMalformedKeys(t *testing.T, b backend.Interface) {
 
 // testQuarantine pins that a quarantined key misses cleanly and can be
 // re-recorded — the contract the store's corruption fallback builds on.
-// Backends without a Quarantiner are covered by Delete semantics, which
-// testRoundTrip already pins.
 func testQuarantine(t *testing.T, b backend.Interface) {
-	q, ok := b.(backend.Quarantiner)
-	if !ok {
-		t.Skip("backend has no Quarantiner")
-	}
 	ctx := context.Background()
 	k := key(0)
 	if err := b.Put(ctx, k, blob(4, 64)); err != nil {
 		t.Fatalf("Put: %v", err)
 	}
-	if err := q.Quarantine(ctx, k); err != nil {
+	if err := b.Quarantine(ctx, k); err != nil {
 		t.Fatalf("Quarantine: %v", err)
 	}
 	if has, _ := b.Has(ctx, k); has {

@@ -275,7 +275,7 @@ func TestInjectionCampaignFacade(t *testing.T) {
 		t.Fatalf("results %d, summary %+v", len(results), sum)
 	}
 	if sum.SDC > 0 {
-		rows, err := c.RunInterference(results, []int{2})
+		rows, err := c.RunInterference(context.Background(), results, []int{2})
 		if err != nil {
 			t.Fatal(err)
 		}

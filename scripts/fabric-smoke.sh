@@ -9,7 +9,9 @@
 #   (b) the coordinator stole the dead worker's leases
 #       (mbavf_fabric_leases_stolen > 0);
 #   (c) the coordinator's /metrics carries mbavf_fleet_* series whose
-#       unlabeled aggregate equals the sum of the worker-labeled samples;
+#       unlabeled aggregate equals the sum of the worker-labeled samples,
+#       and counts the shots the fleet delivered (mbavf_inject_shots >= 1:
+#       the coordinator collects them through inject.Campaign.Run);
 #   (d) the three per-process traces merge into one Chrome trace holding
 #       the campaign span, worker lease spans, and the steal instant
 #       across three distinct pids;
@@ -125,6 +127,14 @@ awk '
         printf "    aggregate %d == sum over %d worker(s)\n", agg, labeled
     }
 ' "$WORK/coord-metrics.txt"
+
+echo "--- coordinator /metrics counts the distributed shots"
+SHOTS="$(awk '/^mbavf_inject_shots /{print $2}' "$WORK/coord-metrics.txt")"
+[ -n "${SHOTS:-}" ] && [ "$SHOTS" -ge 1 ] || {
+    echo "coordinator /metrics carries no mbavf_inject_shots count (got '${SHOTS:-}')" >&2
+    exit 1
+}
+echo "    mbavf_inject_shots $SHOTS"
 
 echo "--- drain worker 2 and merge the per-process traces"
 kill "$W2PID"
